@@ -6,20 +6,14 @@
 //! benchmark-A scene, per environment. Median of five repetitions.
 //! `--json[=DIR]` additionally serializes the medians as
 //! `BENCH_layouts.json` — host wall clocks are emitted ungated (context,
-//! not gate input), while the deterministic locality/utilization/
-//! decomposition counters (`layouts.csr_index_gap`,
-//! `mech.simd_lanes_utilized`, `mech.f32_refresh_copies`,
-//! `layouts.shard_imbalance`, `layouts.shard_halo_fraction`,
-//! `layouts.shard_mech_modeled_ms`, `layouts.shard_speedup_modeled_x`)
-//! gate at 2 %.
+//! not gate input), while the deterministic locality/utilization
+//! counters (`layouts.csr_index_gap`, `mech.simd_lanes_utilized`,
+//! `mech.f32_refresh_copies`) gate at 2 %.
 
 use bdm_bench::{emit, BenchScale};
-use bdm_device::cpu::CpuModel;
-use bdm_device::specs::SYSTEM_A;
 use bdm_grid::{CsrBuildScratch, CsrGrid, UniformGrid};
 use bdm_math::{Aabb, SplitMix64, Vec3};
 use bdm_metrics::MetricsRegistry;
-use bdm_morton::Curve;
 use bdm_sim::workload::benchmark_a;
 use bdm_sim::{CellBuilder, EnvironmentKind, ExecMode, Precision, SimParams, Simulation};
 use bdm_soa::AgentId;
@@ -315,151 +309,6 @@ fn simd_table(cells_per_dim: usize, reg: &mut MetricsRegistry) {
     reg.set_gauge("layouts.simd_speedup_wall_x", &[], speedup);
 }
 
-/// Hilbert-sharded domain decomposition: the same random cloud stepped
-/// on the CSR parallel grid, unsharded (with an every-step Hilbert
-/// reorder so both configurations pay for locality) and at 1/2/4/8
-/// shards. The mech column sums the pass's own records — canonical
-/// sort / host reorder, CSR build(s), force pass — so the decomposition
-/// overheads are visible. The shard is the unit of parallelism (each
-/// shard steps serially on its own rayon task), so the decomposition
-/// speedup is reported through the System A machine model at 20
-/// threads, capped at the shard count — the repo's standard way to
-/// record parallel scaling independent of the host's core count. Wall
-/// clocks are informational; the modeled milliseconds and the shard-map
-/// telemetry (imbalance, imported ghost-halo fraction) are
-/// deterministic functions of the trajectory and gate at 2 %.
-fn shard_table(cells_per_dim: usize, reg: &mut MetricsRegistry) {
-    // The sharding acceptance regime is >=110k agents: below that the
-    // per-shard build overhead dominates. Smaller bench scales are
-    // clamped up so the committed JSON always records the regime where
-    // per-shard stepping pays (48^3 = 110,592).
-    let cells_per_dim = cells_per_dim.max(48);
-    let n = cells_per_dim * cells_per_dim * cells_per_dim;
-    let half = (n as f64 / 2.0).cbrt() * 2.0;
-    let env = EnvironmentKind::uniform_grid_csr_parallel();
-    let model = CpuModel::new(SYSTEM_A.cpu);
-    const MODEL_THREADS: u32 = 20;
-    println!(
-        "\n== hilbert sharding: random cloud, {n} cells, {} ==",
-        env.label()
-    );
-    println!(
-        "{:<12} {:>10} {:>10} {:>13} {:>11} {:>11}",
-        "shards", "step ms", "mech ms", "modeled ms", "imbalance", "halo frac"
-    );
-    let mech_records = [
-        "reorder",
-        "shard sort",
-        "neighborhood build",
-        "mechanical forces",
-    ];
-    let mut modeled_single = 0.0f64;
-    let mut modeled_best_multi = f64::INFINITY;
-    for shards in [0usize, 1, 2, 4, 8] {
-        let params = if shards == 0 {
-            SimParams::cube(half)
-                .with_seed(0x2b)
-                .with_reorder(1)
-                .with_reorder_curve(Curve::Hilbert)
-        } else {
-            SimParams::cube(half).with_seed(0x2b).with_shards(shards)
-        };
-        let mut sim = Simulation::new(params);
-        sim.set_environment(env);
-        let mut rng = SplitMix64::new(0x2b);
-        for _ in 0..n {
-            sim.add_cell(
-                CellBuilder::new(Vec3::new(
-                    rng.uniform(-half, half),
-                    rng.uniform(-half, half),
-                    rng.uniform(-half, half),
-                ))
-                .diameter(4.0)
-                .adherence(0.01),
-            );
-        }
-        sim.step(); // warm caches + scratch (and apply the first sort)
-        let mut step_walls = Vec::with_capacity(REPS);
-        let mut mech_walls = Vec::with_capacity(REPS);
-        for _ in 0..REPS {
-            let t = Instant::now();
-            sim.step();
-            step_walls.push(t.elapsed().as_secs_f64() * 1e3);
-            mech_walls.push(
-                sim.profiler()
-                    .steps()
-                    .last()
-                    .unwrap()
-                    .records
-                    .iter()
-                    .filter(|r| mech_records.contains(&r.name.as_str()))
-                    .map(|r| r.wall_s)
-                    .sum::<f64>()
-                    * 1e3,
-            );
-        }
-        step_walls.sort_by(|a, b| a.total_cmp(b));
-        mech_walls.sort_by(|a, b| a.total_cmp(b));
-        let (step_ms, mech_ms) = (step_walls[REPS / 2], mech_walls[REPS / 2]);
-        // Model the last step's mech phases at 20 System A threads. The
-        // build/force phases of a sharded run fan out across shards, one
-        // serial task each, so their thread count is capped at the shard
-        // count; the sort and the host reorder are global rayon passes.
-        let modeled_ms: f64 = sim
-            .profiler()
-            .steps()
-            .last()
-            .unwrap()
-            .records
-            .iter()
-            .filter(|r| mech_records.contains(&r.name.as_str()))
-            .flat_map(|r| r.phases.iter())
-            .map(|p| {
-                let threads = if shards > 0 && p.name != "shard sort" {
-                    MODEL_THREADS.min(shards as u32)
-                } else {
-                    MODEL_THREADS
-                };
-                model.phase_time(p, threads).seconds
-            })
-            .sum::<f64>()
-            * 1e3;
-        let (imbalance, halo_frac) = sim
-            .sharding()
-            .map(|s| (s.imbalance(), s.halo_agents() as f64 / n as f64))
-            .unwrap_or((1.0, 0.0));
-        let row = if shards == 0 {
-            "unsharded".to_string()
-        } else {
-            shards.to_string()
-        };
-        println!(
-            "{:<12} {:>10.3} {:>10.3} {:>13.3} {:>11.3} {:>11.4}",
-            row, step_ms, mech_ms, modeled_ms, imbalance, halo_frac
-        );
-        let key = shards.to_string();
-        let labels = [("shards", key.as_str())];
-        reg.set_gauge("layouts.shard_step_wall_ms", &labels, step_ms);
-        reg.set_gauge("layouts.shard_mech_wall_ms", &labels, mech_ms);
-        if shards > 0 {
-            reg.set_gauge("layouts.shard_mech_modeled_ms", &labels, modeled_ms);
-            reg.set_gauge("layouts.shard_imbalance", &labels, imbalance);
-            reg.set_gauge("layouts.shard_halo_fraction", &labels, halo_frac);
-        }
-        if shards == 1 {
-            modeled_single = modeled_ms;
-        } else if shards > 1 {
-            modeled_best_multi = modeled_best_multi.min(modeled_ms);
-        }
-    }
-    let speedup = modeled_single / modeled_best_multi.max(1e-12);
-    println!(
-        "{:<12} {:>10.2}x modeled mech speedup (1 shard / best multi-shard)",
-        "", speedup
-    );
-    reg.set_gauge("layouts.shard_speedup_modeled_x", &[], speedup);
-}
-
 fn behaviors_table(cells_per_dim: usize, reg: &mut MetricsRegistry) {
     let n = cells_per_dim * cells_per_dim * cells_per_dim;
     println!("\n== behaviors operation: benchmark A, {n} cells (growing) ==");
@@ -507,7 +356,6 @@ fn main() {
     }
     step_table(scale.a_cells_per_dim, &mut reg);
     reorder_table(scale.a_cells_per_dim, &mut reg);
-    shard_table(scale.a_cells_per_dim, &mut reg);
     simd_table(scale.a_cells_per_dim, &mut reg);
     behaviors_table(scale.a_cells_per_dim, &mut reg);
     if let Some(dir) = emit::json_dir_from_args(&args) {

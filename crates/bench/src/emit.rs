@@ -69,16 +69,13 @@ pub fn default_policy(name: &str) -> GatePolicy {
             "gpu.bytes_h2d" | "gpu.bytes_d2h" | "gpu.midstep_syncs" | "gpu.resident_steps"
         )
         || name == "layouts.csr_index_gap"
-        || name.starts_with("layouts.shard_")
         || name.starts_with("checkpoint.bytes")
         || name.starts_with("diffusion.")
     {
-        // `layouts.shard_*` and `diffusion.*` wall clocks never reach
-        // this tier — the `wall` branch above catches them — so what
-        // gates here is the deterministic shard-map telemetry
-        // (imbalance, halo fraction), the System A modeled mech and
-        // diffusion times / speedups (pure functions of the
-        // trajectories' phase counters), and the diffusion interior
+        // `diffusion.*` wall clocks never reach this tier — the `wall`
+        // branch above catches them — so what gates here is the System
+        // A modeled diffusion times / speedups (pure functions of the
+        // trajectories' phase counters) and the diffusion interior
         // fraction.
         GatePolicy::with_tol(0.02)
     } else {
@@ -200,21 +197,6 @@ mod tests {
         assert_eq!(default_policy("gpu.sort_gathers").tol, Some(0.0));
         assert_eq!(default_policy("layouts.csr_index_gap").tol, Some(0.02));
         assert!(!default_policy("layouts.reorder_mech_wall_ms").gate);
-        assert_eq!(default_policy("layouts.shard_imbalance").tol, Some(0.02));
-        assert_eq!(
-            default_policy("layouts.shard_halo_fraction").tol,
-            Some(0.02)
-        );
-        assert_eq!(
-            default_policy("layouts.shard_mech_modeled_ms").tol,
-            Some(0.02)
-        );
-        assert_eq!(
-            default_policy("layouts.shard_speedup_modeled_x").tol,
-            Some(0.02)
-        );
-        assert!(!default_policy("layouts.shard_step_wall_ms").gate);
-        assert!(!default_policy("layouts.shard_mech_wall_ms").gate);
         assert!(!default_policy("checkpoint.write_ms").gate);
         assert!(!default_policy("checkpoint.read_ms").gate);
         assert_eq!(default_policy("checkpoint.bytes_total").tol, Some(0.02));

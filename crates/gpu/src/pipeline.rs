@@ -859,8 +859,7 @@ impl MechanicalPipeline {
     /// Drop device residency: the next [`Self::step_resident`] performs
     /// a full re-upload. Callers must invalidate after anything that
     /// reorders or rewrites host columns wholesale behind the UID
-    /// column's back — the host `reorder` operation, checkpoint restore,
-    /// a shard recut.
+    /// column's back — the host `reorder` operation, checkpoint restore.
     pub fn invalidate_residency(&mut self) {
         match &mut self.state {
             Some(ResidentState::F32(s)) => s.invalidate(),

@@ -122,8 +122,7 @@ pub struct CsrGrid<R> {
     cell_agents: Vec<AgentId>,
     /// Per-agent voxel keys of the last full build (the incremental
     /// check), together with the geometry they were computed against.
-    /// `None` after a member-subset build — those arrays are not a pure
-    /// function of full-column keys.
+    /// `None` until the first rebuild.
     built_sig: Option<BuildSig>,
     prev_keys: Vec<u32>,
 }
@@ -352,75 +351,6 @@ impl<R: Scalar> CsrGrid<R> {
         self.prev_keys.extend_from_slice(&scratch.voxel_of);
         self.built_sig = Some(sig);
         false
-    }
-
-    /// Rebuild the grid over an explicit **subset** of agents: only
-    /// `members` are indexed, and `cell_agents` stores the given ids
-    /// verbatim (they index the full `xs`/`ys`/`zs` columns). This is
-    /// the shard-local build: a shard indexes its own agents plus the
-    /// ghost-halo agents of neighboring shards, all identified by their
-    /// *global* ids.
-    ///
-    /// The counting sort is stable in member order, so a voxel's agents
-    /// appear in the order they occur in `members`. When every voxel's
-    /// agents arrive from a single ascending-id run of `members` — the
-    /// case for Hilbert-sorted storage, where one voxel is one
-    /// contiguous key run — each per-voxel slice is bitwise identical
-    /// to the corresponding slice of a full [`Self::rebuild_serial`]
-    /// over the same columns, which is what keeps sharded force
-    /// accumulation bit-identical to the unsharded pass.
-    #[allow(clippy::too_many_arguments)]
-    pub fn rebuild_from_members(
-        &mut self,
-        xs: &[R],
-        ys: &[R],
-        zs: &[R],
-        members: &[AgentId],
-        space: Aabb<R>,
-        box_length: R,
-        scratch: &mut CsrBuildScratch,
-    ) {
-        let geom = GridGeometry::new(space, box_length);
-        let num_boxes = geom.num_boxes();
-        let n = members.len();
-        assert!(n < u32::MAX as usize, "agent count overflows CSR offsets");
-        self.geom = geom;
-        // A subset build is not a pure function of full-column keys:
-        // drop the incremental signature so the next full rebuild can
-        // never falsely skip over shard-local contents.
-        self.built_sig = None;
-
-        // Pass 1: voxel of every member; counts into shifted cell_starts.
-        scratch.voxel_of.clear();
-        scratch.voxel_of.resize(n, 0);
-        self.cell_starts.clear();
-        self.cell_starts.resize(num_boxes + 1, 0);
-        for (k, id) in members.iter().enumerate() {
-            let i = id.index();
-            let v = geom.box_index(Vec3::new(xs[i], ys[i], zs[i])) as u32;
-            scratch.voxel_of[k] = v;
-            self.cell_starts[v as usize + 1] += 1;
-        }
-
-        // In-place scan ⇒ exclusive prefix sums.
-        for v in 1..=num_boxes {
-            self.cell_starts[v] += self.cell_starts[v - 1];
-        }
-
-        // Pass 2: stable scatter of the member ids themselves.
-        scratch
-            .hists
-            .resize_with(1.max(scratch.hists.len()), Vec::new);
-        let cursor = &mut scratch.hists[0];
-        cursor.clear();
-        cursor.extend_from_slice(&self.cell_starts[..num_boxes]);
-        self.cell_agents.clear();
-        self.cell_agents.resize(n, AgentId::NULL);
-        for (k, &v) in scratch.voxel_of.iter().enumerate() {
-            let pos = cursor[v as usize];
-            cursor[v as usize] += 1;
-            self.cell_agents[pos as usize] = members[k];
-        }
     }
 
     /// The shared voxel geometry.
@@ -664,49 +594,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn member_subset_build_matches_filtered_full_build() {
-        let (xs, ys, zs) = cloud(400, 9, 16.0);
-        let full = CsrGrid::build_serial(&xs, &ys, &zs, space(16.0), 2.0);
-        // Subset = two contiguous ascending-id ranges (the shard shape:
-        // an owned range plus a halo range).
-        let members: Vec<AgentId> = (50..200).chain(300..370).map(AgentId::from_index).collect();
-        let in_subset =
-            |id: &AgentId| (50..200).contains(&id.index()) || (300..370).contains(&id.index());
-        let mut sub = CsrGrid::build_serial(&[], &[], &[], space(16.0), 2.0);
-        let mut scratch = CsrBuildScratch::default();
-        sub.rebuild_from_members(&xs, &ys, &zs, &members, space(16.0), 2.0, &mut scratch);
-        assert_eq!(sub.num_agents(), members.len());
-        for v in 0..full.num_boxes() {
-            let expected: Vec<AgentId> = full
-                .cell_range(v)
-                .iter()
-                .filter(|id| in_subset(id))
-                .copied()
-                .collect();
-            assert_eq!(sub.cell_range(v), expected.as_slice(), "voxel {v}");
-        }
-    }
-
-    #[test]
-    fn member_build_with_everyone_is_bitwise_identical_to_full_build() {
-        let (xs, ys, zs) = cloud(600, 10, 12.0);
-        let full = CsrGrid::build_serial(&xs, &ys, &zs, space(12.0), 1.5);
-        let members: Vec<AgentId> = (0..600).map(AgentId::from_index).collect();
-        let mut sub = CsrGrid::build_serial(&[], &[], &[], space(12.0), 1.5);
-        sub.rebuild_from_members(
-            &xs,
-            &ys,
-            &zs,
-            &members,
-            space(12.0),
-            1.5,
-            &mut CsrBuildScratch::default(),
-        );
-        assert_eq!(sub.cell_starts, full.cell_starts);
-        assert_eq!(sub.cell_agents, full.cell_agents);
-    }
-
     /// Property test over random churn sequences: whatever mix of
     /// within-voxel jiggle, cross-voxel moves, births, and deaths a
     /// step applies, the incremental rebuild (serial and parallel, with
@@ -806,27 +693,6 @@ mod tests {
         // Geometry change with identical positions: rebuild.
         assert!(!g.rebuild_serial(&xs, &ys, &zs, space(10.0), 2.5, &mut scratch));
         let fresh = CsrGrid::build_serial(&xs, &ys, &zs, space(10.0), 2.5);
-        assert_eq!(g.cell_agents, fresh.cell_agents);
-    }
-
-    /// A member-subset (shard) build rewrites the arrays outside the
-    /// full-column key space; the next full rebuild must not skip.
-    #[test]
-    fn member_rebuild_invalidates_the_incremental_signature() {
-        let (xs, ys, zs) = cloud(300, 11, 12.0);
-        let mut g = CsrGrid::build_serial(&[], &[], &[], space(12.0), 2.0);
-        let mut scratch = CsrBuildScratch::default();
-        assert!(!g.rebuild_serial(&xs, &ys, &zs, space(12.0), 2.0, &mut scratch));
-        assert!(g.rebuild_serial(&xs, &ys, &zs, space(12.0), 2.0, &mut scratch));
-        let members: Vec<AgentId> = (0..100).map(AgentId::from_index).collect();
-        g.rebuild_from_members(&xs, &ys, &zs, &members, space(12.0), 2.0, &mut scratch);
-        assert_eq!(g.num_agents(), 100);
-        assert!(
-            !g.rebuild_serial(&xs, &ys, &zs, space(12.0), 2.0, &mut scratch),
-            "a shard recut must clear the skip signature"
-        );
-        let fresh = CsrGrid::build_serial(&xs, &ys, &zs, space(12.0), 2.0);
-        assert_eq!(g.cell_starts, fresh.cell_starts);
         assert_eq!(g.cell_agents, fresh.cell_agents);
     }
 

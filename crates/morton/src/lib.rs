@@ -19,14 +19,12 @@
 //! lines — the mechanism behind the paper's 2.6× kernel speedup.
 
 pub mod hilbert;
-pub mod shard;
 
 use bdm_math::{Aabb, Scalar, Vec3};
 use bdm_soa::Permutation;
 use rayon::prelude::*;
 
 pub use hilbert::{hilbert_decode3, hilbert_encode3};
-pub use shard::ShardMap;
 
 /// Which space-filling curve orders the agents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -1,10 +1,9 @@
-//! Property-based tests for the Z-order curve, the Hilbert curve, and
-//! the curve-span shard map built on top of them.
+//! Property-based tests for the Z-order and Hilbert curves.
 
 use bdm_math::{Aabb, Vec3};
 use bdm_morton::{
-    cell_keys, compact, decode3, encode2, encode3, hilbert_decode3, hilbert_encode3, quantize,
-    spread, Curve, ShardMap, COORD_BITS, COORD_MAX,
+    compact, decode3, encode2, encode3, hilbert_decode3, hilbert_encode3, quantize, spread,
+    COORD_BITS, COORD_MAX,
 };
 use proptest::prelude::*;
 
@@ -93,8 +92,8 @@ proptest! {
     /// Hilbert keys over a clamped grid are a bijection on voxel
     /// coordinates: distinct voxels get distinct keys, and decoding
     /// recovers the voxel. (Injectivity + left inverse = bijection onto
-    /// the key image, which is what the shard splitter needs: one key ↔
-    /// one voxel.)
+    /// the key image: one key ↔ one voxel, so a key sort groups each
+    /// voxel's agents into one contiguous run.)
     #[test]
     fn hilbert_is_a_bijection_on_voxel_coords(
         dx in 1u32..=6, dy in 1u32..=6, dz in 1u32..=6,
@@ -113,10 +112,9 @@ proptest! {
 
     /// Consecutive Hilbert curve positions are face-adjacent voxels:
     /// walking from key k to k+1 moves exactly one unit step along
-    /// exactly one axis, anywhere in the 63-bit key space. This is the
-    /// locality property the shard splitter relies on — a contiguous
-    /// key span is a connected blob of voxels, so shard surfaces (and
-    /// with them the ghost halos) stay small.
+    /// exactly one axis, anywhere in the 63-bit key space — the
+    /// no-long-jumps property that distinguishes it from Z-order: a
+    /// contiguous key span is a connected blob of voxels.
     #[test]
     fn hilbert_consecutive_positions_are_face_adjacent(
         k in 0u64..((1u64 << (3 * COORD_BITS)) - 1),
@@ -127,41 +125,5 @@ proptest! {
             + (ay as i64 - by as i64).abs()
             + (az as i64 - bz as i64).abs();
         prop_assert_eq!(d, 1, "keys {} and {} are not face-adjacent", k, k + 1);
-    }
-
-    /// ShardMap over clamped-grid Hilbert keys: `ranges` on the sorted
-    /// key column and `shard_of` on individual keys agree, the ranges
-    /// tile the column, and no voxel (key run) straddles two shards.
-    #[test]
-    fn shard_map_ranges_agree_with_shard_of(
-        points in proptest::collection::vec(
-            (0.0f64..50.0, 0.0f64..50.0, 0.0f64..50.0), 1..200),
-        shards in 1usize..=8,
-    ) {
-        let space = Aabb::new(Vec3::new(0.0, 0.0, 0.0), Vec3::splat(50.0));
-        let xs: Vec<f64> = points.iter().map(|p| p.0).collect();
-        let ys: Vec<f64> = points.iter().map(|p| p.1).collect();
-        let zs: Vec<f64> = points.iter().map(|p| p.2).collect();
-        let mut keys = cell_keys(&xs, &ys, &zs, &space, 5.0, Curve::Hilbert);
-        keys.sort_unstable();
-        let map = ShardMap::balanced(&keys, shards);
-        let ranges = map.ranges(&keys);
-        prop_assert_eq!(ranges.len(), shards);
-        prop_assert_eq!(ranges[0].start, 0);
-        prop_assert_eq!(ranges.last().unwrap().end, keys.len());
-        for w in ranges.windows(2) {
-            prop_assert_eq!(w[0].end, w[1].start);
-        }
-        for (s, range) in ranges.iter().enumerate() {
-            for &k in &keys[range.clone()] {
-                prop_assert_eq!(map.shard_of(k), s);
-            }
-        }
-        // No key run straddles a shard boundary.
-        for w in keys.windows(2) {
-            if w[0] == w[1] {
-                prop_assert_eq!(map.shard_of(w[0]), map.shard_of(w[1]));
-            }
-        }
     }
 }

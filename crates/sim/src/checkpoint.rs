@@ -2,8 +2,8 @@
 //! contract.
 //!
 //! The repo's signature guarantee is bitwise determinism (serial ==
-//! parallel, serial == sharded, reorder-pure), so the natural contract
-//! for checkpointing is the strongest one: **checkpoint at step `k`,
+//! parallel, reorder-pure), so the natural contract for checkpointing
+//! is the strongest one: **checkpoint at step `k`,
 //! restore, run to step `n` is bitwise identical to an uninterrupted run
 //! to step `n`** — positions, diameters, uids, diffusion fields, and the
 //! gate-deterministic metric counters. Two facts make the captured state
@@ -15,17 +15,30 @@
 //!    and `steps_executed` restores the randomness.
 //! 2. Everything else a step touches is *derived* state, rebuilt from
 //!    the columns on demand: neighborhood grids, f32 mirrors (epoch
-//!    refresh), the largest-diameter cache, per-shard CSR grids, the
-//!    diffusion scratch buffer, the GPU pipeline (a pure function of the
-//!    environment configuration). None of it is serialized.
+//!    refresh), the largest-diameter cache, the diffusion scratch
+//!    buffer, the GPU pipeline (a pure function of the environment
+//!    configuration). None of it is serialized.
 //!
-//! # Format (version 2)
+//! # Format (version 3)
 //!
 //! Little-endian throughout; all `f64` values are raw IEEE-754 bit
 //! patterns (`to_bits`), so round-trips are bitwise by construction.
-//! Version 2 appends the `gpu_resident` flag (one byte) to PARAMS;
-//! version-1 streams still restore, with the flag defaulting to `false`
-//! (the knob did not exist when they were written).
+//!
+//! | version | PARAMS tail after `precision`                            | SHARDS      |
+//! |---------|----------------------------------------------------------|-------------|
+//! | 1       | shard count u64 · rebalance_every u64 · threshold f64    | iff sharded |
+//! | 2       | the v1 tail · `gpu_resident` u8                          | iff sharded |
+//! | 3       | `gpu_resident` u8                                        | never       |
+//!
+//! Every version down to [`MIN_FORMAT_VERSION`] still restores. Version
+//! 1 predates the residency knob, so it decodes with the flag off.
+//! Versions 1 and 2 come from builds that could shard the mechanical
+//! pass over Hilbert-curve spans. That code was removed: it computed
+//! the unsharded pass's trajectory bit for bit and never ran faster. So
+//! a legacy stream's shard fields and SHARDS section are decoded and
+//! validated exactly as before (malformed ones are still a
+//! [`CheckpointError`]), then discarded, and the run resumes on the
+//! unsharded pass with the same trajectory.
 //!
 //! ```text
 //! header   magic "BDMCKPT\0" (8) · version u32 · section_count u32
@@ -40,13 +53,14 @@
 //! | 3   | AGENTS    | SoA columns, behavior lists, uid counter, epochs  |
 //! | 4   | DIFFUSION | per-substance params + concentration column       |
 //! | 5   | SCHEDULER | per-op (name, frequency, enabled, runs)           |
-//! | 6   | SHARDS    | span bounds, migration base snapshot, counters    |
+//! | 6   | SHARDS    | legacy only (v1/v2): span bounds, migration base snapshot, counters |
 //!
-//! META/PARAMS/AGENTS/DIFFUSION/SCHEDULER are required; SHARDS is
-//! present iff `params.shards.count > 0` (and [`SimParams::validate_for_restore`]
-//! rejects any disagreement between the two). Unknown trailing sections
-//! are rejected as [`CheckpointError::Corrupt`] — the golden-fixture
-//! test guards the format against silent drift.
+//! META/PARAMS/AGENTS/DIFFUSION/SCHEDULER are required. In a v1/v2
+//! stream SHARDS is present iff the PARAMS shard count is non-zero, and
+//! any disagreement is [`CheckpointError::InvalidParams`]. Unknown
+//! sections, SHARDS in a v3 stream included, are rejected as
+//! [`CheckpointError::Corrupt`]. The golden-fixture tests guard the
+//! format against silent drift.
 //!
 //! GPU device residency is *derived* state like every other cache:
 //! restore builds the pipeline fresh, so a restored simulation's first
@@ -56,9 +70,10 @@
 //! Restore never panics on malformed input: every failure maps to a
 //! structured [`CheckpointError`]. Custom user operations (trait
 //! objects) cannot be serialized; a restored pipeline carries the
-//! default ops (plus reorder/shard-rebalance per params), and SCHEDULER
-//! entries whose name matches no restored op are skipped — re-add user
-//! operations after restoring, before stepping.
+//! default ops (plus reorder per params), and SCHEDULER entries whose
+//! name matches no restored op are skipped — re-add user operations
+//! after restoring, before stepping. A legacy stream's `shard rebalance`
+//! entry is skipped the same way.
 
 use crate::behavior::Behavior;
 use crate::diffusion::{BoundaryCondition, DiffusionGrid, DiffusionParams};
@@ -69,7 +84,7 @@ use crate::scheduler::ExecMode;
 use crate::simulation::Simulation;
 use bdm_gpu::frontend::ApiFrontend;
 use bdm_gpu::pipeline::KernelVersion;
-use bdm_morton::{Curve, ShardMap};
+use bdm_morton::Curve;
 use bdm_soa::SoaVec3;
 use std::fmt;
 use std::io::{Read, Write};
@@ -79,16 +94,19 @@ pub const MAGIC: [u8; 8] = *b"BDMCKPT\0";
 /// Schema version this build writes. Bumping it without updating the
 /// committed golden fixture fails the format tests. Restore also
 /// accepts every earlier version down to [`MIN_FORMAT_VERSION`].
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 /// Oldest schema version restore still reads (version 1 lacked the
 /// `gpu_resident` byte in PARAMS; it decodes with the flag off).
 pub const MIN_FORMAT_VERSION: u32 = 1;
+/// First schema version without the legacy shard fields and section.
+const UNSHARDED_VERSION: u32 = 3;
 
 const TAG_META: u32 = 1;
 const TAG_PARAMS: u32 = 2;
 const TAG_AGENTS: u32 = 3;
 const TAG_DIFFUSION: u32 = 4;
 const TAG_SCHEDULER: u32 = 5;
+/// Written only by versions 1 and 2 (see the module docs).
 const TAG_SHARDS: u32 = 6;
 
 /// Structured, non-panicking restore failures.
@@ -121,8 +139,9 @@ pub enum CheckpointError {
     /// Structurally invalid content: bad enum discriminant, mismatched
     /// counts, duplicate/missing sections, invalid uid bookkeeping, …
     Corrupt(String),
-    /// The checkpointed `SimParams` fail validation, or disagree with
-    /// the state sections (see [`SimParams::validate_for_restore`]).
+    /// The checkpointed `SimParams` fail [`SimParams::validate`], or a
+    /// legacy stream's shard fields are invalid or disagree with its
+    /// SHARDS section.
     InvalidParams(String),
 }
 
@@ -386,9 +405,6 @@ fn encode_params(p: &SimParams) -> Vec<u8> {
         Precision::F64 => 0,
         Precision::F32Simd => 1,
     });
-    e.u64(p.shards.count as u64);
-    e.u64(p.shards.rebalance_every);
-    e.f64(p.shards.imbalance_threshold);
     e.u8(p.gpu_resident as u8);
     e.buf
 }
@@ -475,22 +491,6 @@ fn encode_scheduler(sim: &Simulation) -> Vec<u8> {
     e.buf
 }
 
-fn encode_shards(sh: &crate::shard::ShardedEnvironment) -> Vec<u8> {
-    let mut e = Enc::default();
-    let bounds = sh.map().bounds();
-    e.u64(bounds.len() as u64);
-    e.u64s(bounds);
-    let prev = sh.assignment_snapshot();
-    e.u64(prev.len() as u64);
-    for &(uid, shard) in prev {
-        e.u64(uid);
-        e.u32(shard);
-    }
-    e.u64(sh.migrations());
-    e.u64(sh.rebalances());
-    e.buf
-}
-
 // ---------------------------------------------------------------------
 // Section decoders
 // ---------------------------------------------------------------------
@@ -562,7 +562,45 @@ fn decode_meta(bytes: &[u8]) -> Result<Meta, CheckpointError> {
     })
 }
 
-fn decode_params(bytes: &[u8], version: u32) -> Result<SimParams, CheckpointError> {
+/// The shard policy fields of a v1/v2 PARAMS section. Restore decodes
+/// and validates them like every other field, then discards them.
+#[derive(Default)]
+struct LegacyShards {
+    count: usize,
+    rebalance_every: u64,
+    imbalance_threshold: f64,
+}
+
+impl LegacyShards {
+    /// The checks the sharded builds ran on these fields, plus their
+    /// agreement with the presence of a SHARDS section.
+    fn validate(&self, has_section: bool) -> Result<(), String> {
+        if self.count > 0 {
+            if self.rebalance_every == 0 {
+                return Err("shards.rebalance_every == 0 would schedule a rebalance op \
+                     that never fires; use a positive period"
+                    .to_string());
+            }
+            if self.imbalance_threshold < 1.0 || self.imbalance_threshold.is_nan() {
+                return Err(format!(
+                    "shards.imbalance_threshold must be >= 1.0 (max/mean shard \
+                     population ratio); got {}",
+                    self.imbalance_threshold
+                ));
+            }
+        }
+        match (self.count > 0, has_section) {
+            (false, true) => Err("checkpoint carries sharded state but shards.count == 0".into()),
+            (true, false) => Err(format!(
+                "params configure {} shards but the checkpoint carries no shard state",
+                self.count
+            )),
+            _ => Ok(()),
+        }
+    }
+}
+
+fn decode_params(bytes: &[u8], version: u32) -> Result<(SimParams, LegacyShards), CheckpointError> {
     let mut d = Dec::new(bytes);
     let mut p = SimParams::cube(1.0);
     p.space.min.x = d.f64()?;
@@ -592,11 +630,14 @@ fn decode_params(bytes: &[u8], version: u32) -> Result<SimParams, CheckpointErro
         1 => Precision::F32Simd,
         v => return Err(corrupt(format!("unknown precision {v}"))),
     };
-    let count = d.u64()?;
-    p.shards.count = usize::try_from(count)
-        .map_err(|_| corrupt(format!("shard count {count} exceeds usize")))?;
-    p.shards.rebalance_every = d.u64()?;
-    p.shards.imbalance_threshold = d.f64()?;
+    let mut shards = LegacyShards::default();
+    if version < UNSHARDED_VERSION {
+        let count = d.u64()?;
+        shards.count = usize::try_from(count)
+            .map_err(|_| corrupt(format!("shard count {count} exceeds usize")))?;
+        shards.rebalance_every = d.u64()?;
+        shards.imbalance_threshold = d.f64()?;
+    }
     // Version 1 predates the residency knob: leave the default (off).
     p.gpu_resident = if version >= 2 {
         match d.u8()? {
@@ -608,7 +649,7 @@ fn decode_params(bytes: &[u8], version: u32) -> Result<SimParams, CheckpointErro
         false
     };
     d.finish()?;
-    Ok(p)
+    Ok((p, shards))
 }
 
 fn decode_behavior(d: &mut Dec<'_>, n_substances: usize) -> Result<Behavior, CheckpointError> {
@@ -762,40 +803,46 @@ fn decode_scheduler(bytes: &[u8]) -> Result<Vec<SchedEntry>, CheckpointError> {
     Ok(out)
 }
 
-struct ShardState {
-    map: ShardMap,
-    prev_assignment: Vec<(u64, u32)>,
-    migrations: u64,
-    rebalances: u64,
-}
-
-fn decode_shards(bytes: &[u8], expected_shards: usize) -> Result<ShardState, CheckpointError> {
+/// Check a legacy SHARDS section: `expected_shards + 1` span bounds
+/// that start at 0, end at `u64::MAX` and never decrease, then the
+/// `(uid u64, shard u32)` migration snapshot and the migration and
+/// rebalance counters. Nothing in it affects the restored trajectory.
+fn check_legacy_shards(bytes: &[u8], expected_shards: usize) -> Result<(), CheckpointError> {
     let mut d = Dec::new(bytes);
     let n_bounds = d.count(8)?;
     let bounds = d.u64s(n_bounds)?;
-    let map = ShardMap::from_bounds(bounds).map_err(corrupt)?;
-    if map.shards() != expected_shards {
+    if bounds.len() < 2 {
+        return Err(corrupt(format!(
+            "shard bounds need at least 2 entries (got {})",
+            bounds.len()
+        )));
+    }
+    if bounds[0] != 0 {
+        return Err(corrupt(format!(
+            "shard bounds must start at 0 (got {})",
+            bounds[0]
+        )));
+    }
+    if bounds[bounds.len() - 1] != u64::MAX {
+        return Err(corrupt("shard bounds must end at u64::MAX"));
+    }
+    if let Some(w) = bounds.windows(2).find(|w| w[0] > w[1]) {
+        return Err(corrupt(format!(
+            "shard bounds must be non-decreasing ({} > {})",
+            w[0], w[1]
+        )));
+    }
+    if bounds.len() - 1 != expected_shards {
         return Err(corrupt(format!(
             "shard map has {} spans but params.shards.count is {expected_shards}",
-            map.shards()
+            bounds.len() - 1
         )));
     }
     let n_prev = d.count(12)?;
-    let mut prev_assignment = Vec::with_capacity(n_prev);
-    for _ in 0..n_prev {
-        let uid = d.u64()?;
-        let shard = d.u32()?;
-        prev_assignment.push((uid, shard));
-    }
-    let migrations = d.u64()?;
-    let rebalances = d.u64()?;
-    d.finish()?;
-    Ok(ShardState {
-        map,
-        prev_assignment,
-        migrations,
-        rebalances,
-    })
+    d.take(n_prev * 12)?;
+    d.u64()?; // migrations
+    d.u64()?; // rebalances
+    d.finish()
 }
 
 // ---------------------------------------------------------------------
@@ -810,16 +857,13 @@ impl Simulation {
     /// function of the trajectory, so two checkpoints of bitwise-equal
     /// simulations are byte-identical.
     pub fn checkpoint<W: Write>(&self, w: &mut W) -> Result<(), CheckpointError> {
-        let mut sections: Vec<(u32, Vec<u8>)> = vec![
+        let sections = [
             (TAG_META, encode_meta(self)),
             (TAG_PARAMS, encode_params(self.params())),
             (TAG_AGENTS, encode_agents(self.rm())),
             (TAG_DIFFUSION, encode_diffusion(self.diffusion_grids())),
             (TAG_SCHEDULER, encode_scheduler(self)),
         ];
-        if let Some(sh) = self.sharding() {
-            sections.push((TAG_SHARDS, encode_shards(sh)));
-        }
         w.write_all(&MAGIC)?;
         w.write_all(&FORMAT_VERSION.to_le_bytes())?;
         w.write_all(&(sections.len() as u32).to_le_bytes())?;
@@ -893,29 +937,37 @@ impl Simulation {
             }
             Ok(first.1)
         };
+        let last_tag = if version < UNSHARDED_VERSION {
+            TAG_SHARDS
+        } else {
+            TAG_SCHEDULER
+        };
         if let Some(&(tag, _)) = sections
             .iter()
-            .find(|&&(t, _)| !(TAG_META..=TAG_SHARDS).contains(&t))
+            .find(|&&(t, _)| !(TAG_META..=last_tag).contains(&t))
         {
-            return Err(corrupt(format!("unknown section tag {tag}")));
+            return Err(corrupt(format!(
+                "unknown section tag {tag} in a version-{version} stream"
+            )));
         }
 
-        let params = decode_params(find(TAG_PARAMS, "PARAMS")?, version)?;
+        let (params, legacy_shards) = decode_params(find(TAG_PARAMS, "PARAMS")?, version)?;
         let shard_bytes = sections
             .iter()
             .find(|&&(t, _)| t == TAG_SHARDS)
             .map(|&(_, b)| b);
         params
-            .validate_for_restore(shard_bytes.is_some())
+            .validate()
+            .and_then(|()| legacy_shards.validate(shard_bytes.is_some()))
             .map_err(CheckpointError::InvalidParams)?;
 
         let meta = decode_meta(find(TAG_META, "META")?)?;
         let grids = decode_diffusion(find(TAG_DIFFUSION, "DIFFUSION")?, params.space)?;
         let rm = decode_agents(find(TAG_AGENTS, "AGENTS")?, grids.len())?;
         let sched = decode_scheduler(find(TAG_SCHEDULER, "SCHEDULER")?)?;
-        let shard_state = shard_bytes
-            .map(|b| decode_shards(b, params.shards.count))
-            .transpose()?;
+        if let Some(b) = shard_bytes {
+            check_legacy_shards(b, legacy_shards.count)?;
+        }
 
         // Everything parsed and validated; only now build the simulation
         // (params already passed validate(), so new() cannot panic).
@@ -931,14 +983,6 @@ impl Simulation {
             // doesn't carry — documented as skipped.
             sim.scheduler_mut()
                 .restore_slot(&s.name, s.frequency, s.enabled, s.runs);
-        }
-        if let (Some(state), Some(sh)) = (shard_state, sim.sharding_mut()) {
-            sh.restore_state(
-                state.map,
-                state.prev_assignment,
-                state.migrations,
-                state.rebalances,
-            );
         }
         sim.set_steps_executed(meta.steps_executed);
         Ok(sim)

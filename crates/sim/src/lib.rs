@@ -42,7 +42,6 @@ pub mod profiler;
 pub mod render;
 pub mod rm;
 pub mod scheduler;
-pub mod shard;
 pub mod simulation;
 pub mod timeseries;
 pub mod workload;
@@ -54,11 +53,10 @@ pub use diffusion::{BoundaryCondition, DiffusionGrid, DiffusionParams, Diffusion
 pub use environment::{EnvironmentKind, GridLayout};
 pub use exec::ExecutionContext;
 pub use io::Snapshot;
-pub use operation::{OpContext, Operation, ReorderOp, ShardRebalanceOp};
-pub use param::{Precision, ReorderParams, ShardParams, SimParams};
+pub use operation::{OpContext, Operation, ReorderOp};
+pub use param::{Precision, ReorderParams, SimParams};
 pub use profiler::{OpRecord, Profiler, StepProfile};
 pub use rm::ResourceManager;
 pub use scheduler::{ExecMode, OpStats, Scheduler};
-pub use shard::ShardedEnvironment;
 pub use simulation::Simulation;
 pub use timeseries::TimeSeries;

@@ -157,8 +157,9 @@ pub struct SimdWork {
     pub refresh_copies: u64,
 }
 
-/// Outcome of one mechanical step.
-#[derive(Debug, Clone)]
+/// Outcome of one mechanical step. The default is the empty step: no
+/// phases, no GPU report, zero counters.
+#[derive(Debug, Clone, Default)]
 pub struct MechWork {
     /// Work phases for the CPU timing model (empty for the GPU path —
     /// its cost lives in [`MechWork::gpu`]).
@@ -323,17 +324,7 @@ pub fn mechanical_step_with_scratch(
     scratch: &mut MechScratch,
 ) -> MechWork {
     if rm.is_empty() {
-        return MechWork {
-            phases: Vec::new(),
-            wall_s: Vec::new(),
-            gpu: None,
-            candidates: 0,
-            contacts: 0,
-            neighbors: 0,
-            index_gap: None,
-            simd: None,
-            csr_rebuilds_skipped: 0,
-        };
+        return MechWork::default();
     }
     match env {
         EnvironmentKind::KdTree => cpu_kdtree_step(rm, params),
@@ -395,7 +386,7 @@ fn force_phase(
     (results.into_iter().map(|r| r.0).collect(), contacts)
 }
 
-pub(crate) fn apply_displacements(rm: &mut ResourceManager, disp: &[Vec3<f64>]) {
+fn apply_displacements(rm: &mut ResourceManager, disp: &[Vec3<f64>]) {
     for (i, &d) in disp.iter().enumerate() {
         if d != Vec3::zero() {
             rm.translate(i, d);
@@ -478,13 +469,10 @@ fn cpu_kdtree_step(rm: &mut ResourceManager, params: &SimParams) -> MechWork {
     MechWork {
         phases,
         wall_s: vec![wall_build, wall_search, wall_force],
-        gpu: None,
         candidates: counters.points_tested,
         contacts,
         neighbors,
-        index_gap: None,
-        simd: None,
-        csr_rebuilds_skipped: 0,
+        ..Default::default()
     }
 }
 
@@ -583,13 +571,10 @@ fn cpu_grid_step(rm: &mut ResourceManager, params: &SimParams, parallel: bool) -
     MechWork {
         phases,
         wall_s: vec![wall_build, wall_fused],
-        gpu: None,
         candidates: counters.points_tested,
         contacts,
         neighbors,
-        index_gap: None,
-        simd: None,
-        csr_rebuilds_skipped: 0,
+        ..Default::default()
     }
 }
 
@@ -598,7 +583,7 @@ fn cpu_grid_step(rm: &mut ResourceManager, params: &SimParams, parallel: bool) -
 /// rayon schedules it; each agent's FP64 accumulation is independent, so
 /// the displacements are bitwise reproducible across serial and parallel
 /// runs.
-pub(crate) const CSR_PASS_CHUNK: usize = 4 * 1024;
+const CSR_PASS_CHUNK: usize = 4 * 1024;
 
 fn cpu_grid_csr_step(
     rm: &mut ResourceManager,
@@ -1153,15 +1138,8 @@ fn gpu_step(
         report
     };
     MechWork {
-        phases: Vec::new(),
-        wall_s: Vec::new(),
         gpu: Some(report),
-        candidates: 0,
-        contacts: 0,
-        neighbors: 0,
-        index_gap: None,
-        simd: None,
-        csr_rebuilds_skipped: 0,
+        ..Default::default()
     }
 }
 

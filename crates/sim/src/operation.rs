@@ -20,13 +20,12 @@
 use crate::behavior::{diameter_of, volume_of, Behavior};
 use crate::cell::CellBuilder;
 use crate::diffusion::{DiffusionGrid, DiffusionStats};
-use crate::environment::{EnvironmentKind, GridLayout};
+use crate::environment::EnvironmentKind;
 use crate::exec::ExecutionContext;
 use crate::mech::{self, MechScratch, MechWork};
 use crate::param::{Precision, SimParams};
 use crate::profiler::OpRecord;
 use crate::rm::{AgentChunkMut, AgentShared, ReorderScratch, ResourceManager};
-use crate::shard::ShardedEnvironment;
 use bdm_device::cpu::Phase;
 use bdm_gpu::pipeline::MechanicalPipeline;
 use bdm_math::{SplitMix64, Vec3};
@@ -61,18 +60,6 @@ pub struct OpContext<'a> {
     pub(crate) pipeline: Option<&'a mut MechanicalPipeline>,
     pub(crate) mech_scratch: &'a mut MechScratch,
     pub(crate) last_mech: &'a mut Option<MechWork>,
-    /// Sharded step driver; `Some` when `params.shards.count > 0`.
-    pub(crate) shards: Option<&'a mut ShardedEnvironment>,
-}
-
-impl OpContext<'_> {
-    /// Shard-then-chunk cut points for the agent loops, when sharding is
-    /// on and the cached shard ranges tile the current population.
-    fn shard_cuts(&self) -> Option<Vec<usize>> {
-        self.shards
-            .as_deref()
-            .and_then(|s| s.behavior_cuts(self.rm.len(), AGENT_CHUNK))
-    }
 }
 
 /// One schedulable unit of per-step work.
@@ -187,58 +174,6 @@ impl Operation for ReorderOp {
 }
 
 // ---------------------------------------------------------------------
-// Shard rebalancing (curve-order load balancing)
-// ---------------------------------------------------------------------
-
-/// Scheduled beside [`ReorderOp`] when sharding is on: counts agents
-/// whose Hilbert key crossed a shard boundary since the last check (the
-/// `shard.migrations` counter) and re-splits the span boundaries with
-/// [`bdm_morton::ShardMap::balanced`] when the per-shard populations
-/// drift past `params.shards.imbalance_threshold`. Runs with frequency
-/// `params.shards.rebalance_every`.
-///
-/// Observational only: the shard map decides where work runs, never
-/// what it computes, so rebalancing cannot perturb any trajectory (the
-/// sharded pass is bitwise-identical for every map).
-#[derive(Debug, Default)]
-pub struct ShardRebalanceOp;
-
-impl Operation for ShardRebalanceOp {
-    fn name(&self) -> &str {
-        "shard rebalance"
-    }
-
-    fn run(&mut self, ctx: &mut OpContext<'_>) -> Vec<OpRecord> {
-        let t = Instant::now();
-        let n = ctx.rm.len();
-        let (params, rm) = (ctx.params, &*ctx.rm);
-        let Some(shards) = ctx.shards.as_deref_mut() else {
-            return Vec::new();
-        };
-        let (_migrations, resplit) = shards.rebalance(rm, params);
-        if resplit {
-            // A recut re-sorts storage into the new span order on the
-            // next sharded pass — device mirrors go stale wholesale.
-            if let Some(p) = ctx.pipeline.as_deref_mut() {
-                p.invalidate_residency();
-            }
-        }
-        vec![OpRecord {
-            name: self.name().into(),
-            wall_s: t.elapsed().as_secs_f64(),
-            // Key computation + uid-sorted diff + key sort.
-            phases: vec![Phase::parallel_fp64(
-                "shard rebalance",
-                40.0 * n as f64,
-                48.0 * n as f64,
-                resplit as u64 as f64,
-            )],
-            gpu: None,
-        }]
-    }
-}
-
-// ---------------------------------------------------------------------
 // Behaviors
 // ---------------------------------------------------------------------
 
@@ -339,18 +274,9 @@ impl Operation for BehaviorOp {
     fn run(&mut self, ctx: &mut OpContext<'_>) -> Vec<OpRecord> {
         let t = Instant::now();
         let (seed, step, parallel) = (ctx.params.seed, ctx.step, ctx.parallel);
-        // Shard-then-chunk when sharding is on: each execution context
-        // stays shard-local and the contexts merge in shard-then-chunk
-        // order. Both partitions are ascending tilings of the agent
-        // range, so the merged outcome (birth order, death order,
-        // uid-sorted secretions) is bitwise identical either way.
-        let cuts = ctx.shard_cuts();
         let contexts: Vec<ExecutionContext> = {
             let substances: &[DiffusionGrid] = ctx.substances;
-            let (chunks, shared) = match &cuts {
-                Some(cuts) => ctx.rm.behavior_chunks_at(cuts),
-                None => ctx.rm.behavior_chunks(AGENT_CHUNK),
-            };
+            let (chunks, shared) = ctx.rm.behavior_chunks(AGENT_CHUNK);
             let run = |chunk| run_behavior_chunk(chunk, &shared, substances, seed, step);
             if parallel {
                 chunks.into_par_iter().map(run).collect()
@@ -392,36 +318,13 @@ impl Operation for MechanicalOp {
 
     fn run(&mut self, ctx: &mut OpContext<'_>) -> Vec<OpRecord> {
         let t = Instant::now();
-        // The sharded driver covers the scalar-f64 CSR pass (the layout
-        // whose per-voxel id slices shard losslessly); every other
-        // environment/precision combination falls through to the global
-        // pass, which is trivially identical to itself under any shard
-        // count — so the serial==sharded determinism contract holds for
-        // all environments.
-        let sharded = matches!(
-            (ctx.env, ctx.params.precision),
-            (
-                EnvironmentKind::UniformGrid {
-                    layout: GridLayout::Csr,
-                    ..
-                },
-                Precision::F64
-            )
+        let work = mech::mechanical_step_with_scratch(
+            ctx.rm,
+            ctx.params,
+            ctx.env,
+            ctx.pipeline.as_deref_mut(),
+            ctx.mech_scratch,
         );
-        let work = match ctx.shards.as_deref_mut() {
-            Some(shards) if sharded => {
-                let parallel =
-                    matches!(ctx.env, EnvironmentKind::UniformGrid { parallel: true, .. });
-                shards.step(ctx.rm, ctx.params, parallel)
-            }
-            _ => mech::mechanical_step_with_scratch(
-                ctx.rm,
-                ctx.params,
-                ctx.env,
-                ctx.pipeline.as_deref_mut(),
-                ctx.mech_scratch,
-            ),
-        };
         let wall = t.elapsed().as_secs_f64();
         let mut records = Vec::new();
         if work.gpu.is_some() {
@@ -477,11 +380,7 @@ impl Operation for BoundSpaceOp {
             }
             clamped
         };
-        let cuts = ctx.shard_cuts();
-        let (chunks, _shared) = match &cuts {
-            Some(cuts) => ctx.rm.behavior_chunks_at(cuts),
-            None => ctx.rm.behavior_chunks(AGENT_CHUNK),
-        };
+        let (chunks, _shared) = ctx.rm.behavior_chunks(AGENT_CHUNK);
         let counts: Vec<u64> = if ctx.parallel {
             chunks.into_par_iter().map(clamp_chunk).collect()
         } else {

@@ -27,40 +27,6 @@ impl Default for ReorderParams {
     }
 }
 
-/// Hilbert-sharded domain decomposition policy: partition the simulation
-/// space into contiguous spans of the Hilbert curve, give each shard its
-/// own CSR grid plus a read-only ghost halo of boundary agents, and step
-/// the shards on their own rayon tasks. `count == 0` (the default)
-/// disables sharding entirely.
-///
-/// Determinism contract: the sharded mechanical pass is **bitwise
-/// identical** to the unsharded CSR pass for every shard count — each
-/// shard sees exactly the per-voxel agent lists the global grid would
-/// have produced (halo completeness + stable member build), so the f64
-/// force accumulation order per agent never changes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShardParams {
-    /// Number of Hilbert-span shards; `0` = sharding off (the default).
-    pub count: usize,
-    /// Re-split the span boundaries (curve-order load rebalancing) every
-    /// this many steps. Must be non-zero when sharding is on — a zero
-    /// frequency would silently never fire (see [`SimParams::validate`]).
-    pub rebalance_every: u64,
-    /// Rebalance only when `max shard population / mean` exceeds this
-    /// factor (≥ 1.0). `1.0` re-splits at every scheduled opportunity.
-    pub imbalance_threshold: f64,
-}
-
-impl Default for ShardParams {
-    fn default() -> Self {
-        Self {
-            count: 0,
-            rebalance_every: 64,
-            imbalance_threshold: 1.25,
-        }
-    }
-}
-
 /// Arithmetic precision of the CPU mechanical force pass (the paper's
 /// Improvement I brought to the host).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -111,8 +77,6 @@ pub struct SimParams {
     pub reorder: ReorderParams,
     /// Arithmetic precision of the CPU force pass (`F64` default).
     pub precision: Precision,
-    /// Hilbert-sharded domain decomposition (off by default).
-    pub shards: ShardParams,
     /// Keep agent state resident on the GPU across steps (off by
     /// default). With the GPU environment, steady-state steps then move
     /// no agent columns over the bus: the pipeline diffs the host
@@ -133,7 +97,6 @@ impl SimParams {
             interaction_radius: None,
             reorder: ReorderParams::default(),
             precision: Precision::default(),
-            shards: ShardParams::default(),
             gpu_resident: false,
         }
     }
@@ -172,37 +135,6 @@ impl SimParams {
         self
     }
 
-    /// Builder-style sharding: partition the domain into `count` Hilbert
-    /// spans with ghost halos and per-shard CSR grids. The sharded
-    /// mechanical pass keeps storage sorted by (Hilbert voxel key, uid)
-    /// itself, so no host reorder op is required — shard populations are
-    /// contiguous column slices by construction.
-    ///
-    /// Panics on `count == 0`: sharding is off by default — omit the
-    /// builder to leave it off.
-    pub fn with_shards(mut self, count: usize) -> Self {
-        assert!(
-            count > 0,
-            "with_shards(0) would configure a sharded pipeline with no \
-             shards; sharding is off by default — omit the builder"
-        );
-        self.shards.count = count;
-        self
-    }
-
-    /// Builder-style shard rebalance policy override. Panics on
-    /// `every == 0` (a zero frequency would never fire).
-    pub fn with_shard_rebalance(mut self, every: u64, imbalance_threshold: f64) -> Self {
-        assert!(
-            every > 0,
-            "with_shard_rebalance(0, _) would schedule a rebalance that \
-             never fires"
-        );
-        self.shards.rebalance_every = every;
-        self.shards.imbalance_threshold = imbalance_threshold;
-        self
-    }
-
     /// Builder-style reorder-curve override.
     pub fn with_reorder_curve(mut self, curve: Curve) -> Self {
         self.reorder.curve = curve;
@@ -223,26 +155,11 @@ impl SimParams {
     }
 
     /// Check the parameter set for configurations that would silently
-    /// misbehave — scheduled ops that never fire, or a sharded pipeline
-    /// whose storage-order invariant cannot hold. [`crate::Simulation::new`]
-    /// calls this and panics with the returned message, so a bad hand-built
-    /// `SimParams` (the builders already reject these values) fails loudly
-    /// at construction instead of producing a subtly wrong run.
+    /// misbehave — a frozen timestep, a degenerate interaction radius or
+    /// space. [`crate::Simulation::new`] calls this and panics with the
+    /// returned message, so a bad hand-built `SimParams` fails loudly at
+    /// construction instead of producing a subtly wrong run.
     pub fn validate(&self) -> Result<(), String> {
-        if self.shards.count > 0 {
-            if self.shards.rebalance_every == 0 {
-                return Err("shards.rebalance_every == 0 would schedule a rebalance op \
-                     that never fires; use a positive period"
-                    .to_string());
-            }
-            if self.shards.imbalance_threshold < 1.0 || self.shards.imbalance_threshold.is_nan() {
-                return Err(format!(
-                    "shards.imbalance_threshold must be >= 1.0 (max/mean shard \
-                     population ratio); got {}",
-                    self.shards.imbalance_threshold
-                ));
-            }
-        }
         if self.mech.timestep <= 0.0 {
             return Err(format!(
                 "mech.timestep must be positive; got {}",
@@ -262,32 +179,6 @@ impl SimParams {
                 "space must have positive, finite extent on every axis; got \
                  ({}, {}, {})",
                 e.x, e.y, e.z
-            ));
-        }
-        Ok(())
-    }
-
-    /// [`Self::validate`] plus the checkpoint-restore cross-checks: the
-    /// parameter knobs must agree with the *state* the checkpoint
-    /// actually carries. A sharded checkpoint (one with a shard-state
-    /// section) restored under `shards.count == 0` would silently drop
-    /// the rebalancer's counters and span map; the inverse combination
-    /// would start a sharded pipeline from a fabricated even split
-    /// instead of the checkpointed one. Both diverge from the
-    /// resume-equivalence contract, so both are rejected here — called
-    /// by `Simulation::restore` before any state is installed.
-    pub fn validate_for_restore(&self, has_shard_state: bool) -> Result<(), String> {
-        self.validate()?;
-        if has_shard_state && self.shards.count == 0 {
-            return Err("checkpoint carries sharded state but shards.count == 0; \
-                 a restore would silently discard the shard map and counters"
-                .to_string());
-        }
-        if !has_shard_state && self.shards.count > 0 {
-            return Err(format!(
-                "params configure {} shards but the checkpoint carries no \
-                 shard state; a restore would fabricate an even span map",
-                self.shards.count
             ));
         }
         Ok(())
@@ -338,59 +229,13 @@ mod tests {
     }
 
     #[test]
-    fn sharding_defaults_off_and_builder_applies() {
-        let p = SimParams::default();
-        assert_eq!(p.shards.count, 0, "sharding is opt-in");
-        assert!(p.validate().is_ok(), "defaults must validate");
-
-        let p = SimParams::cube(50.0).with_shards(4);
-        assert_eq!(p.shards.count, 4);
-        // The sharded pass sorts storage itself; sharding must not
-        // conscript the host reorder op.
-        assert_eq!(p.reorder.every, 0);
-        assert!(p.validate().is_ok());
-
-        let p = p.with_shard_rebalance(16, 1.5);
-        assert_eq!(p.shards.rebalance_every, 16);
-        assert_eq!(p.shards.imbalance_threshold, 1.5);
-        assert!(p.validate().is_ok());
-    }
-
-    #[test]
     #[should_panic(expected = "with_reorder(0)")]
     fn zero_reorder_frequency_is_rejected_at_the_builder() {
         let _ = SimParams::cube(1.0).with_reorder(0);
     }
 
     #[test]
-    #[should_panic(expected = "with_shards(0)")]
-    fn zero_shard_count_is_rejected_at_the_builder() {
-        let _ = SimParams::cube(1.0).with_shards(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "never fires")]
-    fn zero_rebalance_frequency_is_rejected_at_the_builder() {
-        let _ = SimParams::cube(1.0)
-            .with_shards(2)
-            .with_shard_rebalance(0, 1.5);
-    }
-
-    #[test]
-    fn validate_rejects_hand_built_zero_frequency_and_bad_sharding() {
-        // Zero rebalance period slipped past the builders.
-        let mut p = SimParams::cube(1.0).with_shards(2);
-        p.shards.rebalance_every = 0;
-        let err = p.validate().unwrap_err();
-        assert!(err.contains("never fires"), "{err}");
-
-        // Nonsensical imbalance threshold (also catches NaN).
-        let mut p = SimParams::cube(1.0).with_shards(2);
-        p.shards.imbalance_threshold = 0.5;
-        assert!(p.validate().is_err());
-        p.shards.imbalance_threshold = f64::NAN;
-        assert!(p.validate().is_err());
-
+    fn validate_rejects_a_zero_timestep() {
         // Zero timestep would freeze displacement integration.
         let mut p = SimParams::cube(1.0);
         p.mech.timestep = 0.0;
@@ -417,28 +262,6 @@ mod tests {
         assert!(p.validate().unwrap_err().contains("extent"));
         p.space.max.x = f64::NAN;
         assert!(p.validate().is_err());
-    }
-
-    #[test]
-    fn validate_for_restore_rejects_shard_state_mismatches() {
-        // Sharded checkpoint, unsharded params: state would be dropped.
-        let p = SimParams::cube(10.0);
-        let err = p.validate_for_restore(true).unwrap_err();
-        assert!(err.contains("shards.count == 0"), "{err}");
-        // Sharded params, no shard state: a span map would be fabricated.
-        let p = SimParams::cube(10.0).with_shards(2);
-        let err = p.validate_for_restore(false).unwrap_err();
-        assert!(err.contains("no"), "{err}");
-        // Matching combinations pass.
-        assert!(SimParams::cube(10.0).validate_for_restore(false).is_ok());
-        assert!(SimParams::cube(10.0)
-            .with_shards(2)
-            .validate_for_restore(true)
-            .is_ok());
-        // And the underlying validate() still runs first.
-        let mut p = SimParams::cube(10.0);
-        p.mech.timestep = -1.0;
-        assert!(p.validate_for_restore(false).is_err());
     }
 
     #[test]

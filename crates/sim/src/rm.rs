@@ -391,35 +391,6 @@ impl ResourceManager {
         (views, shared)
     }
 
-    /// [`Self::behavior_chunks`], but partitioned at explicit `cuts`
-    /// instead of a uniform chunk size: window `w` covers agents
-    /// `cuts[w]..cuts[w + 1]`. This is the sharded partition — each
-    /// shard's contiguous agent range subdivided into work chunks, so
-    /// chunk boundaries never straddle a shard boundary and per-shard
-    /// contexts merge in shard-then-chunk order. Same cache contract as
-    /// [`Self::behavior_chunks`] (raw diameter writes require
-    /// [`Self::invalidate_largest_diameter`] afterwards).
-    pub fn behavior_chunks_at(
-        &mut self,
-        cuts: &[usize],
-    ) -> (Vec<AgentChunkMut<'_>>, AgentShared<'_>) {
-        self.pos_epoch += 1;
-        let views = self
-            .positions
-            .chunks_mut_at(cuts)
-            .into_iter()
-            .zip(bdm_soa::split_mut_at(self.diameters.as_mut_slice(), cuts))
-            .zip(cuts.iter())
-            .map(|((pos, diam), &start)| AgentChunkMut { start, pos, diam })
-            .collect();
-        let shared = AgentShared {
-            behaviors: self.behaviors.as_slice(),
-            uids: self.uids.as_slice(),
-            adherences: self.adherences.as_slice(),
-        };
-        (views, shared)
-    }
-
     /// Diameter column.
     pub fn diameter_column(&self) -> &[f64] {
         self.diameters.as_slice()
@@ -859,33 +830,6 @@ mod tests {
         rm.invalidate_largest_diameter();
         for i in 0..10 {
             assert_eq!(rm.position(i), Vec3::new(i as f64, 1.0, 2.0));
-        }
-    }
-
-    #[test]
-    fn behavior_chunks_at_partitions_at_explicit_cuts() {
-        let mut rm = ResourceManager::new();
-        for i in 0..10 {
-            rm.add(cell_at(i as f64).diameter(1.0 + i as f64));
-        }
-        let cuts = [0usize, 3, 3, 8, 10];
-        let (chunks, shared) = rm.behavior_chunks_at(&cuts);
-        assert_eq!(chunks.len(), 4);
-        assert_eq!(chunks[0].len(), 3);
-        assert!(chunks[1].is_empty());
-        assert_eq!(chunks[2].start(), 3);
-        assert_eq!(chunks[2].len(), 5);
-        assert_eq!(chunks[3].start(), 8);
-        for mut chunk in chunks {
-            for k in 0..chunk.len() {
-                let i = chunk.start() + k;
-                assert_eq!(shared.uid(i), i as u64);
-                assert_eq!(chunk.diameter(k), 1.0 + i as f64);
-                chunk.translate(k, Vec3::new(0.0, 1.0, 0.0));
-            }
-        }
-        for i in 0..10 {
-            assert_eq!(rm.position(i), Vec3::new(i as f64, 1.0, 0.0));
         }
     }
 

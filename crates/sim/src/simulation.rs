@@ -10,12 +10,11 @@ use crate::cell::CellBuilder;
 use crate::diffusion::{DiffusionGrid, DiffusionParams};
 use crate::environment::EnvironmentKind;
 use crate::mech::{MechScratch, MechWork};
-use crate::operation::{OpContext, Operation, ReorderOp, ShardRebalanceOp};
+use crate::operation::{OpContext, Operation, ReorderOp};
 use crate::param::SimParams;
 use crate::profiler::Profiler;
 use crate::rm::ResourceManager;
 use crate::scheduler::{ExecMode, Scheduler};
-use crate::shard::ShardedEnvironment;
 use bdm_gpu::pipeline::MechanicalPipeline;
 
 /// A complete simulation: agents + environment + substances + scheduler.
@@ -31,8 +30,6 @@ pub struct Simulation {
     /// Density measured by the last mechanical step (paper's `n`).
     last_mech: Option<MechWork>,
     scheduler: Scheduler,
-    /// Hilbert-sharded step driver; `Some` iff `params.shards.count > 0`.
-    shards: Option<ShardedEnvironment>,
 }
 
 impl Simulation {
@@ -47,29 +44,16 @@ impl Simulation {
             panic!("invalid SimParams: {msg}");
         }
         let mut scheduler = Scheduler::default_pipeline();
-        if params.shards.count > 0 {
-            scheduler.add_front(Box::new(ShardRebalanceOp));
-            scheduler.set_frequency("shard rebalance", params.shards.rebalance_every);
-        }
         scheduler.add_front(Box::new(ReorderOp::default()));
         if params.reorder.every > 0 {
             scheduler.set_frequency("reorder", params.reorder.every);
         } else {
             scheduler.set_enabled("reorder", false);
         }
-        // Sharding shards the CSR pass; default the environment to it so
-        // `with_shards` alone produces a sharded pipeline.
-        let env = if params.shards.count > 0 {
-            EnvironmentKind::uniform_grid_csr_parallel()
-        } else {
-            EnvironmentKind::uniform_grid_parallel()
-        };
-        let shards =
-            (params.shards.count > 0).then(|| ShardedEnvironment::new(params.shards.count));
         Self {
             params,
             rm: ResourceManager::new(),
-            env,
+            env: EnvironmentKind::uniform_grid_parallel(),
             diffusion: Vec::new(),
             profiler: Profiler::new(),
             pipeline: None,
@@ -77,7 +61,6 @@ impl Simulation {
             steps_executed: 0,
             last_mech: None,
             scheduler,
-            shards,
         }
     }
 
@@ -109,11 +92,6 @@ impl Simulation {
     /// The last mechanical step's work summary (density metric etc.).
     pub fn last_mech_work(&self) -> Option<&MechWork> {
         self.last_mech.as_ref()
-    }
-
-    /// The sharded step driver, when sharding is configured.
-    pub fn sharding(&self) -> Option<&ShardedEnvironment> {
-        self.shards.as_ref()
     }
 
     /// The operation scheduler.
@@ -219,11 +197,6 @@ impl Simulation {
         self.steps_executed = n;
     }
 
-    /// Mutable sharded-environment access (checkpoint restore).
-    pub(crate) fn sharding_mut(&mut self) -> Option<&mut ShardedEnvironment> {
-        self.shards.as_mut()
-    }
-
     /// Mutable access to a substance grid (initial conditions).
     pub fn diffusion_grid_mut(&mut self, i: usize) -> &mut DiffusionGrid {
         &mut self.diffusion[i]
@@ -261,23 +234,6 @@ impl Simulation {
         if let Some(mech) = &self.last_mech {
             mech.publish_metrics(&self.env.label(), &mut reg);
         }
-        if let Some(sh) = &self.shards {
-            reg.set_gauge("shard.count", &[], sh.shard_count() as f64);
-            reg.set_gauge("shard.imbalance", &[], sh.imbalance());
-            reg.set_gauge("shard.migrations", &[], sh.migrations() as f64);
-            reg.set_gauge("shard.rebalances", &[], sh.rebalances() as f64);
-            for (i, (&agents, &halo)) in sh
-                .agents_per_shard()
-                .iter()
-                .zip(sh.halo_per_shard())
-                .enumerate()
-            {
-                let shard = i.to_string();
-                let labels = [("shard", shard.as_str())];
-                reg.set_gauge("shard.agents", &labels, agents as f64);
-                reg.set_gauge("shard.halo_agents", &labels, halo as f64);
-            }
-        }
         reg
     }
 
@@ -303,7 +259,6 @@ impl Simulation {
             pipeline: self.pipeline.as_mut(),
             mech_scratch: &mut self.mech_scratch,
             last_mech: &mut self.last_mech,
-            shards: self.shards.as_mut(),
         };
         let profile = self.scheduler.execute(&mut ctx);
         self.profiler.push(profile);

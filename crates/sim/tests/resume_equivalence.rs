@@ -4,15 +4,15 @@
 //! step `k`, restore, run to step `n` must be **bitwise identical** to
 //! an uninterrupted run to step `n` — per-uid positions, diameters,
 //! diffusion concentrations, and the gate-deterministic metric counters
-//! (`scheduler.op_runs`, `shard.migrations`, `shard.rebalances`).
+//! (`scheduler.op_runs`).
 //!
 //! The strongest single assertion is at the bottom of the harness:
 //! `checkpoint(uninterrupted @ n) == checkpoint(resumed @ n)` **as raw
 //! bytes**. Every serialized field — columns, epochs, uid counter,
-//! diffusion fields, scheduler counters, shard spans and assignment
-//! snapshots — participates in that comparison, so any divergence
-//! anywhere in the captured state fails the test. The per-field
-//! assertions before it exist only to localize failures.
+//! diffusion fields, scheduler counters — participates in that
+//! comparison, so any divergence anywhere in the captured state fails
+//! the test. The per-field assertions before it exist only to localize
+//! failures.
 //!
 //! Additionally each checkpoint must be *byte-idempotent*: checkpointing
 //! the freshly-restored simulation reproduces the original stream
@@ -28,8 +28,6 @@ use bdm_sim::scheduler::ExecMode;
 use bdm_sim::simulation::Simulation;
 use proptest::prelude::*;
 use std::collections::HashMap;
-
-const SHARD_COUNTS: [usize; 4] = [0, 2, 4, 8];
 
 fn all_envs() -> [EnvironmentKind; 6] {
     [
@@ -98,8 +96,7 @@ fn dense_scene(sim: &mut Simulation, seed: u64, divide: bool) {
 
 /// Sparse scene with the full behavior set — division, stochastic death,
 /// secretion, chemotaxis — plus a diffusion substance, so a resumed run
-/// exercises births, deaths, field updates, and (when sharded)
-/// cross-shard migration.
+/// exercises births, deaths, and field updates.
 fn churn_scene(sim: &mut Simulation, seed: u64) {
     let s = sim.add_diffusion_grid(DiffusionParams {
         name: "attractant",
@@ -133,15 +130,6 @@ fn churn_scene(sim: &mut Simulation, seed: u64) {
             }),
         };
         sim.add_cell(cell);
-    }
-}
-
-fn sharded_params(half: f64, seed: u64, shards: usize) -> SimParams {
-    let p = SimParams::cube(half).with_seed(seed);
-    if shards > 0 {
-        p.with_shards(shards).with_shard_rebalance(2, 1.0)
-    } else {
-        p
     }
 }
 
@@ -195,11 +183,6 @@ fn assert_resume_equivalent(build: &dyn Fn() -> Simulation, k: u64, n: u64, what
             .all(|(x, y)| x.to_bits() == y.to_bits());
         assert!(same, "[{what}] diffusion concentrations, grid {i}");
     }
-    if let (Some(a), Some(b)) = (full.sharding(), restored.sharding()) {
-        assert_eq!(a.migrations(), b.migrations(), "[{what}] shard migrations");
-        assert_eq!(a.rebalances(), b.rebalances(), "[{what}] shard rebalances");
-        assert_eq!(a.map().bounds(), b.map().bounds(), "[{what}] shard spans");
-    }
     // …then the exhaustive one: the complete serialized state, as bytes.
     assert_eq!(
         ckpt(&full),
@@ -211,43 +194,32 @@ fn assert_resume_equivalent(build: &dyn Fn() -> Simulation, k: u64, n: u64, what
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Resume-equivalence across every environment kind × shard count
-    /// {0, 2, 4, 8} on a dense division-churn scene, random checkpoint
-    /// step.
+    /// Resume-equivalence across every environment kind on a dense
+    /// division-churn scene, random checkpoint step.
     #[test]
-    fn resume_is_bitwise_across_envs_and_shards(seed in 0u64..100, k in 1u64..3) {
+    fn resume_is_bitwise_across_envs(seed in 0u64..100, k in 1u64..3) {
         for env in all_envs() {
-            for shards in SHARD_COUNTS {
-                let build = move || {
-                    let mut sim = Simulation::new(sharded_params(10.0, seed, shards));
-                    sim.set_environment(env);
-                    dense_scene(&mut sim, seed, true);
-                    sim
-                };
-                assert_resume_equivalent(
-                    &build,
-                    k,
-                    3,
-                    &format!("env {env:?}, {shards} shards"),
-                );
-            }
+            let build = move || {
+                let mut sim = Simulation::new(SimParams::cube(10.0).with_seed(seed));
+                sim.set_environment(env);
+                dense_scene(&mut sim, seed, true);
+                sim
+            };
+            assert_resume_equivalent(&build, k, 3, &format!("env {env:?}"));
         }
     }
 
     /// Resume-equivalence under the full behavior set — births, deaths,
-    /// secretion into and chemotaxis along a diffusion field — with and
-    /// without sharding (aggressive rebalance cadence).
+    /// secretion into and chemotaxis along a diffusion field.
     #[test]
     fn resume_is_bitwise_under_behavior_and_field_churn(seed in 0u64..100, k in 1u64..4) {
-        for shards in [0, 4] {
-            let build = move || {
-                let mut sim = Simulation::new(sharded_params(60.0, seed, shards));
-                sim.set_environment(EnvironmentKind::uniform_grid_csr_parallel());
-                churn_scene(&mut sim, seed);
-                sim
-            };
-            assert_resume_equivalent(&build, k, 4, &format!("churn, {shards} shards"));
-        }
+        let build = move || {
+            let mut sim = Simulation::new(SimParams::cube(60.0).with_seed(seed));
+            sim.set_environment(EnvironmentKind::uniform_grid_csr_parallel());
+            churn_scene(&mut sim, seed);
+            sim
+        };
+        assert_resume_equivalent(&build, k, 4, "churn");
     }
 
     /// Resume-equivalence survives the other determinism-sensitive
@@ -259,7 +231,8 @@ proptest! {
             for mode in [ExecMode::Serial, ExecMode::Parallel] {
                 let build = move || {
                     let mut sim = Simulation::new(
-                        sharded_params(10.0, seed, 0)
+                        SimParams::cube(10.0)
+                            .with_seed(seed)
                             .with_precision(precision)
                             .with_reorder(1),
                     );
@@ -280,12 +253,12 @@ proptest! {
 
 /// The counters backing gate-deterministic metrics survive a restore:
 /// a resumed run publishes the same `scheduler.op_runs` totals as the
-/// uninterrupted one, and the shard telemetry picks up where it left
-/// off rather than resetting to zero.
+/// uninterrupted one rather than restarting them at zero.
 #[test]
 fn metric_counters_resume_not_reset() {
     let build = || {
-        let mut sim = Simulation::new(sharded_params(10.0, 11, 4));
+        let mut sim = Simulation::new(SimParams::cube(10.0).with_seed(11));
+        sim.set_environment(EnvironmentKind::uniform_grid_csr_parallel());
         dense_scene(&mut sim, 11, true);
         sim
     };
@@ -319,14 +292,6 @@ fn metric_counters_resume_not_reset() {
             );
         }
     }
-    assert_eq!(
-        full_reg.value("shard.migrations", &[]),
-        resumed_reg.value("shard.migrations", &[])
-    );
-    assert_eq!(
-        full_reg.value("shard.rebalances", &[]),
-        resumed_reg.value("shard.rebalances", &[])
-    );
 }
 
 /// Frequency anchoring survives a restore: an op with frequency `f`
@@ -411,7 +376,8 @@ fn gpu_resident_run_resumes_bitwise_with_residency_invalidated() {
 #[test]
 fn checkpoint_chains_stay_bitwise() {
     let build = || {
-        let mut sim = Simulation::new(sharded_params(60.0, 23, 2));
+        let mut sim = Simulation::new(SimParams::cube(60.0).with_seed(23));
+        sim.set_environment(EnvironmentKind::uniform_grid_csr_parallel());
         churn_scene(&mut sim, 23);
         sim
     };

@@ -26,7 +26,7 @@ pub mod vec3col;
 pub use column::Column;
 pub use mirror::{F32Mirror, F32x4Mirror};
 pub use perm::Permutation;
-pub use vec3col::{split_mut_at, SoaVec3, Vec3ChunkMut};
+pub use vec3col::{SoaVec3, Vec3ChunkMut};
 
 /// Index of an agent inside the resource manager's SoA columns.
 ///

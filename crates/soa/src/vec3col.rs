@@ -177,65 +177,10 @@ impl<R: Scalar> SoaVec3<R> {
             .map(|((x, y), z)| Vec3ChunkMut { x, y, z })
     }
 
-    /// Disjoint mutable views over the windows between consecutive
-    /// `cuts` — the variable-size sibling of [`Self::chunks_mut`], used
-    /// when the partition must respect externally imposed boundaries
-    /// (shard ranges subdivided into work chunks). `cuts` must be
-    /// non-decreasing, start at 0, and end at `len()`; window `w`
-    /// covers agents `cuts[w]..cuts[w + 1]`.
-    pub fn chunks_mut_at(&mut self, cuts: &[usize]) -> Vec<Vec3ChunkMut<'_, R>> {
-        let n = self.len();
-        assert_eq!(cuts.first().copied(), Some(0), "cuts must start at 0");
-        assert_eq!(cuts.last().copied(), Some(n), "cuts must end at len()");
-        assert!(
-            cuts.windows(2).all(|w| w[0] <= w[1]),
-            "cuts must be non-decreasing"
-        );
-        let (mut x, mut y, mut z) = self.as_mut_slices();
-        let mut out = Vec::with_capacity(cuts.len() - 1);
-        for w in cuts.windows(2) {
-            let len = w[1] - w[0];
-            let (xa, xb) = x.split_at_mut(len);
-            let (ya, yb) = y.split_at_mut(len);
-            let (za, zb) = z.split_at_mut(len);
-            out.push(Vec3ChunkMut {
-                x: xa,
-                y: ya,
-                z: za,
-            });
-            x = xb;
-            y = yb;
-            z = zb;
-        }
-        out
-    }
-
     /// Total bytes of the three columns (transfer-size accounting).
     pub fn bytes(&self) -> usize {
         3 * self.len() * R::BYTES
     }
-}
-
-/// Split a mutable slice at explicit cut points (same contract as
-/// [`SoaVec3::chunks_mut_at`]): disjoint windows `cuts[w]..cuts[w+1]`.
-pub fn split_mut_at<'a, T>(mut data: &'a mut [T], cuts: &[usize]) -> Vec<&'a mut [T]> {
-    assert_eq!(cuts.first().copied(), Some(0), "cuts must start at 0");
-    assert_eq!(
-        cuts.last().copied(),
-        Some(data.len()),
-        "cuts must end at len"
-    );
-    assert!(
-        cuts.windows(2).all(|w| w[0] <= w[1]),
-        "cuts must be non-decreasing"
-    );
-    let mut out = Vec::with_capacity(cuts.len() - 1);
-    for w in cuts.windows(2) {
-        let (head, tail) = data.split_at_mut(w[1] - w[0]);
-        out.push(head);
-        data = tail;
-    }
-    out
 }
 
 /// A disjoint mutable window over one chunk of a [`SoaVec3`]: the same
@@ -385,47 +330,6 @@ mod tests {
         for i in 0..10 {
             assert_eq!(s.get(i), Vec3::new(i as f64 + 0.5, i as f64, i as f64));
         }
-    }
-
-    #[test]
-    fn chunks_mut_at_respects_cut_points() {
-        let mut s: SoaVec3<f64> = SoaVec3::filled(Vec3::zero(), 10);
-        let cuts = [0usize, 3, 3, 7, 10];
-        {
-            let chunks = s.chunks_mut_at(&cuts);
-            assert_eq!(chunks.len(), 4);
-            assert_eq!(chunks[0].len(), 3);
-            assert!(chunks[1].is_empty());
-            assert_eq!(chunks[2].len(), 4);
-            assert_eq!(chunks[3].len(), 3);
-            for (c, mut chunk) in chunks.into_iter().enumerate() {
-                for k in 0..chunk.len() {
-                    chunk.set(k, Vec3::splat((c * 100 + k) as f64));
-                }
-            }
-        }
-        assert_eq!(s.get(0), Vec3::splat(0.0));
-        assert_eq!(s.get(3), Vec3::splat(200.0));
-        assert_eq!(s.get(6), Vec3::splat(203.0));
-        assert_eq!(s.get(9), Vec3::splat(302.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "cuts must end at len")]
-    fn chunks_mut_at_rejects_short_cuts() {
-        let mut s: SoaVec3<f64> = SoaVec3::filled(Vec3::zero(), 5);
-        s.chunks_mut_at(&[0, 3]);
-    }
-
-    #[test]
-    fn split_mut_at_partitions_a_slice() {
-        let mut data = [0u32; 7];
-        let parts = split_mut_at(&mut data, &[0, 2, 2, 7]);
-        assert_eq!(parts.iter().map(|p| p.len()).collect::<Vec<_>>(), [2, 0, 5]);
-        for (i, part) in parts.into_iter().enumerate() {
-            part.fill(i as u32);
-        }
-        assert_eq!(data, [0, 0, 2, 2, 2, 2, 2]);
     }
 
     #[test]

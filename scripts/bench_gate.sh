@@ -11,12 +11,7 @@
 # the f64/f32 speedup ratio are informational, while the SIMD
 # utilization counters (mech.simd_lanes_utilized,
 # mech.f32_refresh_copies) are deterministic functions of the
-# trajectory and gate at +/-2 %. The Hilbert-sharding rows split the
-# same way: layouts.shard_*_wall_ms are informational, while the
-# shard-map telemetry (layouts.shard_imbalance,
-# layouts.shard_halo_fraction) and the System A modeled mech times
-# (layouts.shard_mech_modeled_ms, layouts.shard_speedup_modeled_x)
-# are deterministic and gate at +/-2 %. BENCH_checkpoint.json gates the
+# trajectory and gate at +/-2 %. BENCH_checkpoint.json gates the
 # stream-shape metrics (checkpoint.bytes_total, checkpoint.bytes_per_agent
 # at +/-2 %; checkpoint.agents, checkpoint.sections exactly) while the
 # serialize/parse wall clocks (checkpoint.write_ms, checkpoint.read_ms)
