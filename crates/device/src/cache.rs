@@ -9,9 +9,10 @@
 //! across densities, §VI).
 //!
 //! Real GPU L2s are physically partitioned into slices addressed by a hash
-//! of the line address; [`ShardedCache`] mirrors that, which conveniently
-//! also gives the rayon-parallel warp simulation a low-contention locking
-//! scheme (one `parking_lot::Mutex` per slice).
+//! of the line address; [`ShardedCache`] mirrors that, with one
+//! `parking_lot::Mutex` per slice. The SIMT engine is sequential and
+//! drains its transactions in batches through [`ShardedCache::access_all`],
+//! which takes each slice's lock once per batch.
 
 use parking_lot::Mutex;
 
@@ -155,8 +156,8 @@ impl CacheSim {
 }
 
 /// An L2 cache partitioned into address-hashed slices, each behind its own
-/// mutex — the concurrency structure of a real GPU L2, reused here so
-/// parallel warp simulation contends minimally.
+/// mutex — the structure of a real GPU L2. Slices are independent caches,
+/// so only the order of accesses *within* a slice affects the outcome.
 #[derive(Debug)]
 pub struct ShardedCache {
     shards: Vec<Mutex<CacheSim>>,
@@ -176,13 +177,33 @@ impl ShardedCache {
         }
     }
 
-    /// Access the line containing `addr` through its slice.
-    pub fn access(&self, addr: u64) -> AccessOutcome {
+    /// Slice holding the line containing `addr`.
+    fn shard_of(&self, addr: u64) -> usize {
         let line = addr / self.line_bytes;
         // Simple multiplicative hash → slice id; keeps neighboring lines in
         // different slices the way real partition hashes do.
-        let shard = (line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 48) as usize % self.shards.len();
-        self.shards[shard].lock().access(addr)
+        (line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 48) as usize % self.shards.len()
+    }
+
+    /// Access the line containing `addr` through its slice.
+    pub fn access(&self, addr: u64) -> AccessOutcome {
+        self.shards[self.shard_of(addr)].lock().access(addr)
+    }
+
+    /// Access the lines containing `addrs`, in order, and return this
+    /// batch's hits and misses. Every slice sees the same access sequence
+    /// as calling [`Self::access`] on each address, but its lock is taken
+    /// once for the whole batch instead of once per access.
+    pub fn access_all(&self, addrs: &[u64]) -> CacheStats {
+        let mut slices: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();
+        let mut batch = CacheStats::default();
+        for &addr in addrs {
+            match slices[self.shard_of(addr)].access(addr) {
+                AccessOutcome::Hit => batch.hits += 1,
+                AccessOutcome::Miss => batch.misses += 1,
+            }
+        }
+        batch
     }
 
     /// Aggregate counters across slices.
@@ -291,6 +312,34 @@ mod tests {
         assert_eq!(s.accesses(), 200);
         assert_eq!(s.misses, 100);
         assert_eq!(s.hits, 100);
+    }
+
+    #[test]
+    fn access_all_matches_one_access_at_a_time() {
+        let one = ShardedCache::new(16 * 1024, 4, 128, 4);
+        let all = ShardedCache::new(16 * 1024, 4, 128, 4);
+        let mut rng = 0x1234_5678_u64;
+        let addrs: Vec<u64> = (0..4000)
+            .map(|_| {
+                rng = rng
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (rng >> 40) % (512 * 128)
+            })
+            .collect();
+        let mut expected = CacheStats::default();
+        for &a in &addrs {
+            match one.access(a) {
+                AccessOutcome::Hit => expected.hits += 1,
+                AccessOutcome::Miss => expected.misses += 1,
+            }
+        }
+        let (head, tail) = addrs.split_at(1234);
+        let mut got = all.access_all(head);
+        got.merge(&all.access_all(tail));
+        assert_eq!(got, expected);
+        assert_eq!(all.stats(), one.stats());
+        assert!(expected.hits > 0 && expected.misses > 0);
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //! siblings wait, which is exactly the serial-neighbor-loop bottleneck the
 //! paper observes at high densities, Fig. 11).
 //!
-//! Memory modeling happens at warp granularity on a sampled subset of
-//! warps (deterministic stride sampling; the default full-trace is used by
-//! tests, benchmarks sample to bound simulation time):
+//! Memory modeling happens at warp granularity. By default every warp is
+//! traced (`GpuDevice::new`, and the pipeline at `trace_sample` 1, which
+//! `gpu_default()` uses); a device built with a trace stride k traces
+//! every k-th warp and scales the traced counters up, which bounds the
+//! simulation time of very large launches:
 //!
 //! * Lane accesses are aligned by *slot* (the i-th access of each lane —
 //!   the SIMT analogue of "the same static instruction").
@@ -18,6 +20,11 @@
 //!   (`bdm_device::ShardedCache`), misses become DRAM traffic.
 //! * Atomic operations to the same address within a slot serialize and
 //!   are charged extra warp cycles.
+//!
+//! Each lane's slot keys are non-decreasing, so coalescing is a merge over
+//! the lanes' traces rather than a map from slot to segments, and a batch
+//! of warps drains as a merge of their key-sorted runs. Both reuse their
+//! buffers across the warps of a launch.
 //!
 //! Execution is sequential and fully deterministic: identical inputs give
 //! identical counters, which the tests rely on.
@@ -28,6 +35,8 @@ use crate::timing::KernelTiming;
 use bdm_device::cache::ShardedCache;
 use bdm_device::specs::GpuSpec;
 use bdm_math::Scalar;
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Extra warp cycles when two atomics in the same slot hit one address.
@@ -134,13 +143,14 @@ impl BlockShared {
 }
 
 /// One global-memory access in a lane's trace, tagged with its *slot
-/// key*: (loop iteration << 8) | intra-iteration index. Lanes of a warp
-/// executing the same static load in the same loop iteration share a
-/// slot key — the coalescer merges exactly those accesses, like real
-/// SIMT hardware merges the lanes of one memory instruction.
+/// key*: (loop iteration << 8) | intra-iteration index, the index
+/// saturating at 255. Lanes of a warp executing the same static load in
+/// the same loop iteration share a slot key — the coalescer merges
+/// exactly those accesses, like real SIMT hardware merges the lanes of
+/// one memory instruction. A lane's keys never decrease.
 #[derive(Debug, Clone, Copy)]
 struct Access {
-    key: u32,
+    key: u64,
     addr: u64,
     atomic: bool,
 }
@@ -177,7 +187,7 @@ pub struct ThreadCtx<'a> {
     traced: bool,
     fp64_cost: f64,
     /// Current slot (loop iteration) of this lane.
-    slot: u32,
+    slot: u64,
     /// Access index within the current slot.
     sub: u32,
     /// Child launches requested via dynamic parallelism in this thread.
@@ -262,8 +272,12 @@ impl<'a> ThreadCtx<'a> {
     fn log_access(&mut self, addr: u64, atomic: bool) {
         self.lane.cycles += GLOBAL_ACCESS_LANE_CYCLES;
         if self.traced {
-            let key = (self.slot << 8) | self.sub.min(255);
+            let key = (self.slot << 8) | u64::from(self.sub.min(255));
             self.sub += 1;
+            debug_assert!(
+                self.lane.accesses.last().is_none_or(|a| a.key <= key),
+                "a lane's slot keys must be non-decreasing"
+            );
             self.lane.accesses.push(Access { key, addr, atomic });
         }
     }
@@ -433,7 +447,7 @@ impl GpuDevice {
         // of this width (scaled down by the trace sampling stride).
         let resident_warps = self.spec.sm_count as u64 * resident_blocks as u64 * warps_per_block;
         let batch_width = (resident_warps / self.trace_sample).max(1) as usize;
-        let mut batch: Vec<Vec<(u32, Vec<u64>)>> = Vec::new();
+        let mut coalescer = Coalescer::new(self.spec.l2_line_bytes as u64);
 
         let mut lanes: Vec<LaneRecord> = (0..self.spec.warp_size)
             .map(|_| LaneRecord::default())
@@ -476,139 +490,193 @@ impl GpuDevice {
                         counters.child_launches += ctx.child_launches;
                     }
 
-                    self.retire_warp(&lanes, traced, phase == 0, &mut counters, &mut batch);
-                    if batch.len() >= batch_width {
-                        self.drain_batch(&mut batch, &mut counters);
+                    retire_warp(&lanes, traced, phase == 0, &mut counters, &mut coalescer);
+                    if coalescer.warps() >= batch_width {
+                        coalescer.drain(&self.l2, &mut counters);
                     }
                 }
             }
         }
-        self.drain_batch(&mut batch, &mut counters);
+        coalescer.drain(&self.l2, &mut counters);
 
         counters.finalize_scaling();
         let timing = KernelTiming::model(&counters, &self.spec);
         LaunchResult { counters, timing }
     }
+}
 
-    /// Aggregate a warp's lane records into the launch counters and, for
-    /// traced warps, stage the coalesced transactions into the batch.
-    fn retire_warp(
-        &self,
-        lanes: &[LaneRecord],
-        traced: bool,
-        count_threads: bool,
-        counters: &mut KernelCounters,
-        batch: &mut Vec<Vec<(u32, Vec<u64>)>>,
-    ) {
-        let mut max_cycles = 0.0f64;
-        let mut any_active = false;
-        for lane in lanes {
-            if !lane.active {
-                continue;
-            }
-            any_active = true;
-            if count_threads {
-                counters.threads_run += 1;
-            }
-            counters.flops_fp32 += lane.flops32;
-            counters.flops_fp64 += lane.flops64;
-            counters.shared_accesses += lane.shared_accesses as f64;
-            counters.lane_cycles_total += lane.cycles;
-            max_cycles = max_cycles.max(lane.cycles);
+/// Aggregate a warp's lane records into the launch counters and, for
+/// traced warps, stage the coalesced transactions into the batch.
+fn retire_warp(
+    lanes: &[LaneRecord],
+    traced: bool,
+    count_threads: bool,
+    counters: &mut KernelCounters,
+    coalescer: &mut Coalescer,
+) {
+    let mut max_cycles = 0.0f64;
+    let mut any_active = false;
+    for lane in lanes {
+        if !lane.active {
+            continue;
         }
-        if !any_active {
-            return;
-        }
+        any_active = true;
         if count_threads {
-            counters.warps_run += 1;
+            counters.threads_run += 1;
         }
-        counters.compute_warp_cycles += max_cycles;
+        counters.flops_fp32 += lane.flops32;
+        counters.flops_fp64 += lane.flops64;
+        counters.shared_accesses += lane.shared_accesses as f64;
+        counters.lane_cycles_total += lane.cycles;
+        max_cycles = max_cycles.max(lane.cycles);
+    }
+    if !any_active {
+        return;
+    }
+    if count_threads {
+        counters.warps_run += 1;
+    }
+    counters.compute_warp_cycles += max_cycles;
 
-        if !traced {
-            return;
-        }
-        if count_threads {
-            counters.warps_traced += 1;
-        }
+    if !traced {
+        return;
+    }
+    if count_threads {
+        counters.warps_traced += 1;
+    }
+    coalescer.coalesce(lanes, counters);
+    coalescer.shared_atomic_conflicts(lanes, counters);
+}
 
-        // Slot-keyed coalescing: lanes' accesses sharing a slot key merge
-        // into transactions (distinct 128-byte segments).
-        let line = self.spec.l2_line_bytes as u64;
-        let mut slots: std::collections::BTreeMap<u32, (Vec<u64>, Vec<u64>)> =
-            std::collections::BTreeMap::new();
-        for lane in lanes {
-            for a in &lane.accesses {
-                let entry = slots.entry(a.key).or_default();
-                let seg = a.addr / line;
-                if !entry.0.contains(&seg) {
-                    entry.0.push(seg);
-                }
-                if a.atomic {
-                    counters.atomic_ops += 1.0;
-                    entry.1.push(a.addr);
+/// Slot-keyed coalescing and the batched L2 drain of one launch. Every
+/// buffer is reused across warps and drains.
+#[derive(Default)]
+struct Coalescer {
+    line_bytes: u64,
+    /// `(slot key, 128-byte segment)` transactions of the batch's traced
+    /// warps, warp after warp. A warp's run is sorted by key; within a key
+    /// the segments are in first-touch order (lane by lane, each lane in
+    /// program order), without repeats.
+    txns: Vec<(u64, u64)>,
+    /// End offset in `txns` of each batched warp's run.
+    warp_ends: Vec<usize>,
+    /// Per-lane read position while merging a warp's traces.
+    cursors: Vec<usize>,
+    /// Global-atomic addresses of the slot being merged.
+    atomic_addrs: Vec<u64>,
+    /// Shared-atomic words of one slot.
+    shared_addrs: Vec<u64>,
+    /// Drain frontier: `(next key, warp, position in txns)` of every
+    /// warp with transactions left.
+    frontier: BinaryHeap<Reverse<(u64, usize, usize)>>,
+    /// Byte addresses of one drain, in L2 order.
+    addrs: Vec<u64>,
+}
+
+impl Coalescer {
+    fn new(line_bytes: u64) -> Self {
+        Self {
+            line_bytes,
+            ..Self::default()
+        }
+    }
+
+    /// Warps staged since the last drain.
+    fn warps(&self) -> usize {
+        self.warp_ends.len()
+    }
+
+    /// Merge the lanes' access traces into the warp's transactions. Each
+    /// lane's keys are non-decreasing, so repeatedly taking the smallest
+    /// pending key and then every lane's accesses with that key, lane by
+    /// lane, visits keys in ascending order and, within a key, lanes in
+    /// order. Same-key accesses to one segment form one transaction.
+    fn coalesce(&mut self, lanes: &[LaneRecord], counters: &mut KernelCounters) {
+        self.cursors.clear();
+        self.cursors.resize(lanes.len(), 0);
+        while let Some(key) = lanes
+            .iter()
+            .zip(&self.cursors)
+            .filter_map(|(lane, &c)| lane.accesses.get(c).map(|a| a.key))
+            .min()
+        {
+            let first = self.txns.len();
+            self.atomic_addrs.clear();
+            for (lane, cursor) in lanes.iter().zip(&mut self.cursors) {
+                for a in lane.accesses[*cursor..].iter().take_while(|a| a.key == key) {
+                    *cursor += 1;
+                    let seg = a.addr / self.line_bytes;
+                    if !self.txns[first..].iter().any(|&(_, s)| s == seg) {
+                        self.txns.push((key, seg));
+                    }
+                    if a.atomic {
+                        counters.atomic_ops += 1.0;
+                        self.atomic_addrs.push(a.addr);
+                    }
                 }
             }
-        }
-        let mut warp_txns: Vec<(u32, Vec<u64>)> = Vec::with_capacity(slots.len());
-        for (key, (segs, mut atomic_addrs)) in slots {
             // Atomics to one address within a slot serialize.
-            if atomic_addrs.len() > 1 {
-                atomic_addrs.sort_unstable();
+            if self.atomic_addrs.len() > 1 {
+                self.atomic_addrs.sort_unstable();
                 counters.atomic_serial_cycles +=
-                    conflict_cycles(&atomic_addrs) * ATOMIC_SERIAL_CYCLES;
+                    conflict_cycles(&self.atomic_addrs) * ATOMIC_SERIAL_CYCLES;
             }
-            warp_txns.push((key, segs));
         }
-        batch.push(warp_txns);
+        self.warp_ends.push(self.txns.len());
+    }
 
-        // Shared-memory atomic conflicts, slot-aligned by per-lane order.
+    /// Shared-memory atomic conflicts, slot-aligned by per-lane order.
+    fn shared_atomic_conflicts(&mut self, lanes: &[LaneRecord], counters: &mut KernelCounters) {
         let max_sh = lanes
             .iter()
             .map(|l| l.shared_atomics.len())
             .max()
             .unwrap_or(0);
-        let mut sh_addrs: Vec<u64> = Vec::with_capacity(32);
         for slot in 0..max_sh {
-            sh_addrs.clear();
-            for lane in lanes {
-                if let Some(&w) = lane.shared_atomics.get(slot) {
-                    sh_addrs.push(w);
-                }
-            }
-            if sh_addrs.len() > 1 {
-                sh_addrs.sort_unstable();
-                counters.atomic_serial_cycles += conflict_cycles(&sh_addrs) * ATOMIC_SERIAL_CYCLES;
+            self.shared_addrs.clear();
+            self.shared_addrs
+                .extend(lanes.iter().filter_map(|l| l.shared_atomics.get(slot)));
+            if self.shared_addrs.len() > 1 {
+                self.shared_addrs.sort_unstable();
+                counters.atomic_serial_cycles +=
+                    conflict_cycles(&self.shared_addrs) * ATOMIC_SERIAL_CYCLES;
             }
         }
     }
 
-    /// Drain the traced-warp batch: interleave all warps' transactions
-    /// round-robin by slot key (modeling concurrent residency) and run
-    /// them through the L2 model.
-    fn drain_batch(&self, batch: &mut Vec<Vec<(u32, Vec<u64>)>>, counters: &mut KernelCounters) {
-        if batch.is_empty() {
-            return;
+    /// Drain the batch: interleave all warps' transactions by slot key
+    /// (every warp's slot-0 transactions, warp by warp, then slot 1, …),
+    /// modeling concurrent residency, and run them through the L2 model.
+    /// The interleaving is a k-way merge of the warps' key-sorted runs by
+    /// `(key, warp)`.
+    fn drain(&mut self, l2: &ShardedCache, counters: &mut KernelCounters) {
+        let mut start = 0;
+        for (w, &end) in self.warp_ends.iter().enumerate() {
+            if start < end {
+                self.frontier.push(Reverse((self.txns[start].0, w, start)));
+            }
+            start = end;
         }
-        let line = self.spec.l2_line_bytes as u64;
-        // (key, warp index, slot index within warp) orders the merged
-        // stream: all warps' slot-0 transactions, then slot-1, …
-        let mut order: Vec<(u32, usize, usize)> = Vec::new();
-        for (w, warp) in batch.iter().enumerate() {
-            for (k, (key, _)) in warp.iter().enumerate() {
-                order.push((*key, w, k));
+        while let Some(mut head) = self.frontier.peek_mut() {
+            let Reverse((key, w, mut pos)) = *head;
+            let end = self.warp_ends[w];
+            while pos < end && self.txns[pos].0 == key {
+                self.addrs.push(self.txns[pos].1 * self.line_bytes);
+                pos += 1;
+            }
+            if pos < end {
+                *head = Reverse((self.txns[pos].0, w, pos));
+            } else {
+                PeekMut::pop(head);
             }
         }
-        order.sort_unstable();
-        for (_, w, k) in order {
-            for &seg in &batch[w][k].1 {
-                counters.global_transactions += 1.0;
-                match self.l2.access(seg * line) {
-                    bdm_device::AccessOutcome::Hit => counters.l2_hits += 1.0,
-                    bdm_device::AccessOutcome::Miss => counters.l2_misses += 1.0,
-                }
-            }
-        }
-        batch.clear();
+        let stats = l2.access_all(&self.addrs);
+        counters.global_transactions += self.addrs.len() as f64;
+        counters.l2_hits += stats.hits as f64;
+        counters.l2_misses += stats.misses as f64;
+        self.txns.clear();
+        self.warp_ends.clear();
+        self.addrs.clear();
     }
 }
 
