@@ -99,7 +99,10 @@ fn bench_morton(c: &mut Criterion) {
     let (xs, ys, zs) = cloud(3);
     let space = Aabb::new(Vec3::zero(), Vec3::splat(EXTENT));
     c.bench_function("morton_sort_permutation", |b| {
-        b.iter(|| black_box(bdm_morton::sort_permutation(&xs, &ys, &zs, &space, RADIUS)))
+        b.iter(|| {
+            let keys = bdm_morton::cell_keys(&xs, &ys, &zs, &space, RADIUS);
+            black_box(bdm_soa::Permutation::sorting_by_key(&keys))
+        })
     });
 }
 

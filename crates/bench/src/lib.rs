@@ -15,7 +15,6 @@
 //! | §VI future work | [`dynpar`] | `ablation_dynpar` |
 //! | reproduction checklist | — | `verify_reproduction` |
 //! | CUDA vs OpenCL | — | `ablation_frontends` |
-//! | Z-order vs Hilbert | — | `ablation_curves` |
 //! | trace-sampling fidelity | — | `ablation_sampling` |
 //! | diagnostics | — | `debug_counters`, `debug_gpu`, `debug_steps` |
 //!

@@ -136,10 +136,10 @@ pub struct GpuStepReport {
     pub mech_counters: KernelCounters,
     /// Host-side gather passes spent permuting columns for Improvement
     /// II: 5 on upload + 3 on the inverse at download for a sorting
-    /// version, 0 when the caller's columns already arrived in
-    /// `sort_curve` order (or the version does not sort). The host
-    /// `reorder` operation keeps resident state in curve order exactly
-    /// so this stays 0 and the upload degenerates to a straight memcpy.
+    /// version, 0 when the caller's columns already arrived in Z-order
+    /// (or the version does not sort). The host `reorder` operation
+    /// keeps resident state in Z-order exactly so this stays 0 and the
+    /// upload degenerates to a straight memcpy.
     /// A resident step never gathers: device order is never disturbed.
     pub sort_gathers: u32,
     /// Host→device payload bytes this step actually moved. The pinned
@@ -814,9 +814,6 @@ pub struct MechanicalPipeline {
     state: Option<ResidentState>,
     /// Candidate threshold for the dynamic-parallelism parent kernel.
     pub dynpar_threshold: u32,
-    /// Space-filling curve used by the sorting versions (II, III,
-    /// dynpar). Z-order is the paper's choice; Hilbert is the ablation.
-    pub sort_curve: bdm_morton::Curve,
     /// Debug/ablation knob: make the resident path rebuild the grid
     /// every step even when no agent crossed a voxel boundary. The
     /// incremental skip must be bitwise-invisible, so flipping this
@@ -841,7 +838,6 @@ impl MechanicalPipeline {
             pcie: PcieModel::new(system.pcie_bandwidth, system.pcie_latency_s),
             state: None,
             dynpar_threshold: 96,
-            sort_curve: bdm_morton::Curve::ZOrder,
             force_full_rebuild: false,
         }
     }
@@ -972,18 +968,16 @@ impl MechanicalPipeline {
         narrow_into(scene.diameters, &mut st.hd);
         narrow_into(scene.adherences, &mut st.ha);
 
-        // Improvement II: host-side space-filling-curve sort of the SoA
-        // columns (Z-order by default; see `sort_curve`). Keys are
-        // voxel keys clamped to the grid dims — the same keys the
-        // resident `reorder` operation sorts by — so when the caller's
-        // columns already arrive in curve order the keys come out
+        // Improvement II: host-side Z-order sort of the SoA columns.
+        // Keys are voxel keys clamped to the grid dims — the same keys
+        // the resident `reorder` operation sorts by — so when the
+        // caller's columns already arrive in Z-order the keys come out
         // non-decreasing and the whole permutation (5 upload gathers +
         // 3 inverse gathers after download) is skipped: the upload is a
         // straight memcpy of the host columns.
         let mut sort_gathers = 0u32;
         let perm = if self.version.sorts() {
-            let keys =
-                bdm_morton::cell_keys(&st.hx, &st.hy, &st.hz, &space, box_len, self.sort_curve);
+            let keys = bdm_morton::cell_keys(&st.hx, &st.hy, &st.hz, &space, box_len);
             if keys.is_sorted() {
                 None
             } else {
@@ -1457,40 +1451,10 @@ mod tests {
         assert_eq!(labels.len(), KernelVersion::ALL.len());
     }
 
-    #[test]
-    fn hilbert_sorting_pipeline_matches_zorder() {
-        let n = 300;
-        let extent = 8.0;
-        let (xs, ys, zs, dm, ad) = scene(n, extent, 13);
-        let sr = SceneRef {
-            xs: &xs,
-            ys: &ys,
-            zs: &zs,
-            diameters: &dm,
-            adherences: &ad,
-            space: Aabb::new(Vec3::zero(), Vec3::splat(extent)),
-            box_len: 1.0,
-        };
-        let params = MechParams::default_params();
-        let mut z =
-            MechanicalPipeline::new(SYSTEM_A, ApiFrontend::Cuda, KernelVersion::V2Sorted, 1);
-        let mut h =
-            MechanicalPipeline::new(SYSTEM_A, ApiFrontend::Cuda, KernelVersion::V2Sorted, 1);
-        h.sort_curve = bdm_morton::Curve::Hilbert;
-        let (dz, _) = z.step(&sr, &params);
-        let (dh, _) = h.step(&sr, &params);
-        // The curve changes only iteration order: FP32 reassociation noise.
-        let mut max_err = 0.0f64;
-        for i in 0..n {
-            max_err = max_err.max((dz[i] - dh[i]).norm());
-        }
-        assert!(max_err < 1e-4, "curves disagree by {max_err}");
-    }
-
     /// Acceptance pin for the host-reorder integration: a scrambled
     /// scene costs a sorting version exactly 8 gather passes (5 column
     /// uploads + 3 inverse downloads); a scene whose columns already
-    /// arrive in `sort_curve` order costs 0 — the pipeline detects the
+    /// arrive in Z-order costs 0 — the pipeline detects the
     /// non-decreasing keys and uploads the columns as-is. Non-sorting
     /// versions never gather. And the resident path tops both: a
     /// steady-state resident step performs 0 gathers *and* 0 upload
@@ -1522,9 +1486,9 @@ mod tests {
         let (_, r0) = pipe(KernelVersion::V1Fp32).step(&scrambled, &params);
         assert_eq!(r0.sort_gathers, 0, "non-sorting version never gathers");
 
-        // Pre-sort the host columns along the same curve — what the
+        // Pre-sort the host columns along the Z-order curve — what the
         // resident `reorder` operation does between steps.
-        let keys = bdm_morton::cell_keys(&xs, &ys, &zs, &space, 1.0, bdm_morton::Curve::ZOrder);
+        let keys = bdm_morton::cell_keys(&xs, &ys, &zs, &space, 1.0);
         let p = bdm_soa::Permutation::sorting_by_key(&keys);
         let mut scratch = Vec::new();
         for col in [&mut xs, &mut ys, &mut zs] {

@@ -12,48 +12,14 @@
 //! 2. interleave the coordinate bits into a 63-bit Z-value
 //!    ([`encode3`]),
 //! 3. argsort agents by Z-value and apply the permutation to every SoA
-//!    column ([`sort_permutation`] + `bdm_soa::Permutation`).
+//!    column ([`cell_keys`] + `bdm_soa::Permutation::sorting_by_key`).
 //!
 //! After the sort, agents that are close in 3-D space are close in memory,
 //! so a GPU warp that walks a voxel neighborhood touches few distinct cache
 //! lines — the mechanism behind the paper's 2.6× kernel speedup.
 
-pub mod hilbert;
-
 use bdm_math::{Aabb, Scalar, Vec3};
-use bdm_soa::Permutation;
 use rayon::prelude::*;
-
-pub use hilbert::{hilbert_decode3, hilbert_encode3};
-
-/// Which space-filling curve orders the agents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Curve {
-    /// Z-order / Morton — the paper's choice (cheap bit interleave).
-    #[default]
-    ZOrder,
-    /// Hilbert — no long jumps, costlier keys (the ablation alternative).
-    Hilbert,
-}
-
-impl Curve {
-    /// Key of quantized coordinates under this curve.
-    #[inline]
-    pub fn key(&self, x: u32, y: u32, z: u32) -> u64 {
-        match self {
-            Curve::ZOrder => encode3(x, y, z),
-            Curve::Hilbert => hilbert_encode3(x, y, z),
-        }
-    }
-
-    /// Display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Curve::ZOrder => "z-order",
-            Curve::Hilbert => "hilbert",
-        }
-    }
-}
 
 /// Bits kept per coordinate. 3 × 21 = 63 bits fit a `u64` Z-value.
 pub const COORD_BITS: u32 = 21;
@@ -141,30 +107,7 @@ pub fn quantize<R: Scalar>(p: Vec3<R>, space: &Aabb<R>, cell_len: R) -> (u32, u3
     (q(rel.x), q(rel.y), q(rel.z))
 }
 
-/// Z-value of a position (quantized at `cell_len` within `space`).
-#[inline]
-pub fn zvalue<R: Scalar>(p: Vec3<R>, space: &Aabb<R>, cell_len: R) -> u64 {
-    let (x, y, z) = quantize(p, space, cell_len);
-    encode3(x, y, z)
-}
-
-/// Compute the Z-values of all positions in parallel.
-///
-/// `xs`, `ys`, `zs` are the SoA position columns; `cell_len` is normally
-/// the uniform-grid box length, so agents in the same grid voxel share a
-/// key (the stable argsort then keeps them adjacent).
-pub fn zvalues<R: Scalar>(xs: &[R], ys: &[R], zs: &[R], space: &Aabb<R>, cell_len: R) -> Vec<u64> {
-    assert_eq!(xs.len(), ys.len());
-    assert_eq!(xs.len(), zs.len());
-    let compute = |i: usize| zvalue(Vec3::new(xs[i], ys[i], zs[i]), space, cell_len);
-    if xs.len() >= 1 << 14 {
-        (0..xs.len()).into_par_iter().map(compute).collect()
-    } else {
-        (0..xs.len()).map(compute).collect()
-    }
-}
-
-/// Curve keys of all positions, quantized into **grid voxels**: like
+/// Z-values of all positions, quantized into **grid voxels**: like
 /// [`quantize`] at `cell_len`, but additionally clamped above to the
 /// per-axis voxel counts a uniform grid derives from the same space and
 /// edge (`ceil(extent / cell_len)`, at least 1 — `bdm_grid`'s
@@ -183,7 +126,6 @@ pub fn cell_keys<R: Scalar>(
     zs: &[R],
     space: &Aabb<R>,
     cell_len: R,
-    curve: Curve,
 ) -> Vec<u64> {
     assert_eq!(xs.len(), ys.len());
     assert_eq!(xs.len(), zs.len());
@@ -192,48 +134,13 @@ pub fn cell_keys<R: Scalar>(
     let dims = [dim(e.x), dim(e.y), dim(e.z)];
     let compute = |i: usize| {
         let (x, y, z) = quantize(Vec3::new(xs[i], ys[i], zs[i]), space, cell_len);
-        curve.key(x.min(dims[0] - 1), y.min(dims[1] - 1), z.min(dims[2] - 1))
+        encode3(x.min(dims[0] - 1), y.min(dims[1] - 1), z.min(dims[2] - 1))
     };
     if xs.len() >= 1 << 14 {
         (0..xs.len()).into_par_iter().map(compute).collect()
     } else {
         (0..xs.len()).map(compute).collect()
     }
-}
-
-/// The permutation that sorts agents along the Z-order curve.
-pub fn sort_permutation<R: Scalar>(
-    xs: &[R],
-    ys: &[R],
-    zs: &[R],
-    space: &Aabb<R>,
-    cell_len: R,
-) -> Permutation {
-    sort_permutation_with(xs, ys, zs, space, cell_len, Curve::ZOrder)
-}
-
-/// The permutation that sorts agents along the chosen space-filling
-/// curve (quantized at `cell_len` within `space`).
-pub fn sort_permutation_with<R: Scalar>(
-    xs: &[R],
-    ys: &[R],
-    zs: &[R],
-    space: &Aabb<R>,
-    cell_len: R,
-    curve: Curve,
-) -> Permutation {
-    assert_eq!(xs.len(), ys.len());
-    assert_eq!(xs.len(), zs.len());
-    let compute = |i: usize| {
-        let (x, y, z) = quantize(Vec3::new(xs[i], ys[i], zs[i]), space, cell_len);
-        curve.key(x, y, z)
-    };
-    let keys: Vec<u64> = if xs.len() >= 1 << 14 {
-        (0..xs.len()).into_par_iter().map(compute).collect()
-    } else {
-        (0..xs.len()).map(compute).collect()
-    };
-    Permutation::sorting_by_key(&keys)
 }
 
 /// Average index distance in the given order between spatial neighbors —
@@ -268,6 +175,7 @@ pub fn mean_neighbor_index_distance(positions: &[(f64, f64, f64)], radius: f64) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bdm_soa::Permutation;
 
     #[test]
     fn spread_compact_roundtrip_small() {
@@ -334,11 +242,13 @@ mod tests {
     #[test]
     fn zvalue_same_voxel_same_key() {
         let space = Aabb::new(Vec3::new(0.0f64, 0.0, 0.0), Vec3::splat(8.0));
-        let a = zvalue(Vec3::new(1.1, 2.2, 3.3), &space, 1.0);
-        let b = zvalue(Vec3::new(1.9, 2.8, 3.9), &space, 1.0);
-        assert_eq!(a, b);
-        let c = zvalue(Vec3::new(7.5, 7.5, 7.5), &space, 1.0);
-        assert_ne!(a, c);
+        // The first two agents share voxel (1, 2, 3); the third does not.
+        let xs = [1.1, 1.9, 7.5];
+        let ys = [2.2, 2.8, 7.5];
+        let zs = [3.3, 3.9, 7.5];
+        let keys = cell_keys(&xs, &ys, &zs, &space, 1.0);
+        assert_eq!(keys[0], keys[1]);
+        assert_ne!(keys[0], keys[2]);
     }
 
     #[test]
@@ -349,8 +259,8 @@ mod tests {
         let xs: Vec<f64> = (0..n).map(|_| rng.uniform(0.0, 16.0)).collect();
         let ys: Vec<f64> = (0..n).map(|_| rng.uniform(0.0, 16.0)).collect();
         let zs: Vec<f64> = (0..n).map(|_| rng.uniform(0.0, 16.0)).collect();
-        let perm = sort_permutation(&xs, &ys, &zs, &space, 1.0);
-        let keys = zvalues(&xs, &ys, &zs, &space, 1.0);
+        let keys = cell_keys(&xs, &ys, &zs, &space, 1.0);
+        let perm = Permutation::sorting_by_key(&keys);
         let sorted = perm.apply(&keys);
         assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
     }
@@ -366,7 +276,7 @@ mod tests {
         let ys: Vec<f64> = (0..n).map(|_| rng.uniform(0.0, 32.0)).collect();
         let zs: Vec<f64> = (0..n).map(|_| rng.uniform(0.0, 32.0)).collect();
         let unsorted: Vec<(f64, f64, f64)> = (0..n).map(|i| (xs[i], ys[i], zs[i])).collect();
-        let perm = sort_permutation(&xs, &ys, &zs, &space, 2.0);
+        let perm = Permutation::sorting_by_key(&cell_keys(&xs, &ys, &zs, &space, 2.0));
         let g = perm.gather_indices();
         let sorted: Vec<(f64, f64, f64)> = g
             .iter()
@@ -389,13 +299,11 @@ mod tests {
         let xs = [7.5, 8.0];
         let ys = [7.5, 8.0];
         let zs = [7.5, 8.0];
-        for curve in [Curve::ZOrder, Curve::Hilbert] {
-            let keys = cell_keys(&xs, &ys, &zs, &space, 1.0, curve);
-            assert_eq!(keys[0], keys[1], "{} boundary clamp", curve.name());
-            assert_eq!(keys[0], curve.key(7, 7, 7));
-        }
+        let keys = cell_keys(&xs, &ys, &zs, &space, 1.0);
+        assert_eq!(keys[0], keys[1], "boundary clamp");
+        assert_eq!(keys[0], encode3(7, 7, 7));
         // Interior agents agree with the unclamped quantization.
-        let keys = cell_keys(&[3.2], &[4.7], &[0.1], &space, 1.0, Curve::ZOrder);
+        let keys = cell_keys(&[3.2], &[4.7], &[0.1], &space, 1.0);
         assert_eq!(keys[0], encode3(3, 4, 0));
     }
 

@@ -1,10 +1,7 @@
-//! Property-based tests for the Z-order and Hilbert curves.
+//! Property-based tests for the Z-order curve.
 
 use bdm_math::{Aabb, Vec3};
-use bdm_morton::{
-    compact, decode3, encode2, encode3, hilbert_decode3, hilbert_encode3, quantize, spread,
-    COORD_BITS, COORD_MAX,
-};
+use bdm_morton::{compact, decode3, encode2, encode3, quantize, spread, COORD_MAX};
 use proptest::prelude::*;
 
 proptest! {
@@ -87,43 +84,5 @@ proptest! {
             quantize(p, &space, 1.0),
             quantize(ps, &shifted, 1.0)
         );
-    }
-
-    /// Hilbert keys over a clamped grid are a bijection on voxel
-    /// coordinates: distinct voxels get distinct keys, and decoding
-    /// recovers the voxel. (Injectivity + left inverse = bijection onto
-    /// the key image: one key ↔ one voxel, so a key sort groups each
-    /// voxel's agents into one contiguous run.)
-    #[test]
-    fn hilbert_is_a_bijection_on_voxel_coords(
-        dx in 1u32..=6, dy in 1u32..=6, dz in 1u32..=6,
-    ) {
-        let mut seen = std::collections::HashSet::new();
-        for z in 0..dz {
-            for y in 0..dy {
-                for x in 0..dx {
-                    let k = hilbert_encode3(x, y, z);
-                    prop_assert!(seen.insert(k), "key collision at {:?}", (x, y, z));
-                    prop_assert_eq!(hilbert_decode3(k), (x, y, z));
-                }
-            }
-        }
-    }
-
-    /// Consecutive Hilbert curve positions are face-adjacent voxels:
-    /// walking from key k to k+1 moves exactly one unit step along
-    /// exactly one axis, anywhere in the 63-bit key space — the
-    /// no-long-jumps property that distinguishes it from Z-order: a
-    /// contiguous key span is a connected blob of voxels.
-    #[test]
-    fn hilbert_consecutive_positions_are_face_adjacent(
-        k in 0u64..((1u64 << (3 * COORD_BITS)) - 1),
-    ) {
-        let (ax, ay, az) = hilbert_decode3(k);
-        let (bx, by, bz) = hilbert_decode3(k + 1);
-        let d = (ax as i64 - bx as i64).abs()
-            + (ay as i64 - by as i64).abs()
-            + (az as i64 - bz as i64).abs();
-        prop_assert_eq!(d, 1, "keys {} and {} are not face-adjacent", k, k + 1);
     }
 }

@@ -40,6 +40,13 @@
 //! [`CheckpointError`]), then discarded, and the run resumes on the
 //! unsharded pass with the same trajectory.
 //!
+//! PARAMS keeps a reorder-curve byte after the interaction radius in
+//! every version. Builds that also offered a Hilbert reorder wrote 1
+//! for it; this build writes 0 (Z-order, the only curve) and rejects 1
+//! as [`CheckpointError::InvalidParams`], since resuming such a run
+//! along a different curve would change the storage order it was
+//! checkpointed with. Any other value is [`CheckpointError::Corrupt`].
+//!
 //! ```text
 //! header   magic "BDMCKPT\0" (8) · version u32 · section_count u32
 //! table    section_count × { tag u32 · byte_len u64 }
@@ -84,7 +91,6 @@ use crate::scheduler::ExecMode;
 use crate::simulation::Simulation;
 use bdm_gpu::frontend::ApiFrontend;
 use bdm_gpu::pipeline::KernelVersion;
-use bdm_morton::Curve;
 use bdm_soa::SoaVec3;
 use std::fmt;
 use std::io::{Read, Write};
@@ -139,9 +145,10 @@ pub enum CheckpointError {
     /// Structurally invalid content: bad enum discriminant, mismatched
     /// counts, duplicate/missing sections, invalid uid bookkeeping, …
     Corrupt(String),
-    /// The checkpointed `SimParams` fail [`SimParams::validate`], or a
+    /// The checkpointed `SimParams` fail [`SimParams::validate`], a
     /// legacy stream's shard fields are invalid or disagree with its
-    /// SHARDS section.
+    /// SHARDS section, or the stream asks for the removed Hilbert
+    /// reorder curve.
     InvalidParams(String),
 }
 
@@ -396,10 +403,9 @@ fn encode_params(p: &SimParams) -> Vec<u8> {
             e.f64(r);
         }
     }
-    e.u8(match p.reorder.curve {
-        Curve::ZOrder => 0,
-        Curve::Hilbert => 1,
-    });
+    // Reorder curve: always 0 (Z-order), the only curve (see the module
+    // docs on the legacy curve byte).
+    e.u8(0);
     e.u64(p.reorder.every);
     e.u8(match p.precision {
         Precision::F64 => 0,
@@ -619,11 +625,17 @@ fn decode_params(bytes: &[u8], version: u32) -> Result<(SimParams, LegacyShards)
         1 => Some(d.f64()?),
         f => return Err(corrupt(format!("bad interaction_radius flag {f}"))),
     };
-    p.reorder.curve = match d.u8()? {
-        0 => Curve::ZOrder,
-        1 => Curve::Hilbert,
+    match d.u8()? {
+        0 => {}
+        1 => {
+            return Err(CheckpointError::InvalidParams(
+                "the stream reorders along the Hilbert curve, which this build removed \
+                 (only Z-order remains)"
+                    .into(),
+            ))
+        }
         c => return Err(corrupt(format!("unknown reorder curve {c}"))),
-    };
+    }
     p.reorder.every = d.u64()?;
     p.precision = match d.u8()? {
         0 => Precision::F64,

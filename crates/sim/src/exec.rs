@@ -25,7 +25,9 @@
 //! its f32 lane packing and f64 lane-ordered reductions are functions of
 //! the chunk geometry, never of thread scheduling — so every merge
 //! performed here receives identical inputs across serial and parallel
-//! execution at either precision.
+//! execution at either precision. (`F32Simd` also runs each diffusion
+//! substance through the f32 stencil; that sweep touches no agent state
+//! and merges nothing here.)
 
 use crate::cell::CellBuilder;
 use crate::diffusion::DiffusionGrid;

@@ -28,7 +28,7 @@ use bdm_grid::{CsrBuildScratch, CsrGrid, UniformGrid};
 use bdm_kdtree::KdTree;
 use bdm_math::interaction::{self};
 use bdm_math::simd::{F32x8, F64x8, U32x8, LANES};
-use bdm_math::Vec3;
+use bdm_math::{Aabb, Vec3};
 use bdm_soa::{AgentId, F32Mirror, F32x4Mirror};
 use rayon::prelude::*;
 use std::time::Instant;
@@ -259,10 +259,8 @@ pub fn interaction_radius(rm: &ResourceManager, params: &SimParams) -> f64 {
 /// its lifetime; one-shot callers can pass a fresh default.
 #[derive(Default)]
 pub struct MechScratch {
-    /// CSR grid, rebuilt in place every step.
-    csr: Option<CsrGrid<f64>>,
-    /// Counting-sort working memory (voxel ids + chunk histograms).
-    build: CsrBuildScratch,
+    /// CSR grid and its build memory, rebuilt in place every step.
+    csr: CsrScratch,
     /// Per-agent displacements of the fused pass.
     disp: Vec<Vec3<f64>>,
     /// `f32` shadows of the hot columns for the mixed-precision pass,
@@ -585,6 +583,61 @@ fn cpu_grid_step(rm: &mut ResourceManager, params: &SimParams, parallel: bool) -
 /// runs.
 const CSR_PASS_CHUNK: usize = 4 * 1024;
 
+/// The CSR grid both CSR passes share, plus its counting-sort working
+/// memory (voxel ids + chunk histograms).
+#[derive(Default)]
+struct CsrScratch {
+    grid: Option<CsrGrid<f64>>,
+    build: CsrBuildScratch,
+}
+
+impl CsrScratch {
+    /// Phase 1 of both CSR passes: the f64 counting-sort build, in place.
+    /// Precision never reaches it, so the scalar and SIMD passes
+    /// enumerate exactly the same candidate pairs. Returns the grid and
+    /// whether the incremental rebuild was skipped (no agent changed
+    /// voxel).
+    fn rebuild(
+        &mut self,
+        rm: &ResourceManager,
+        space: Aabb<f64>,
+        radius: f64,
+        parallel: bool,
+    ) -> (&CsrGrid<f64>, bool) {
+        let (xs, ys, zs) = rm.position_columns();
+        let grid = self
+            .grid
+            .get_or_insert_with(|| CsrGrid::build_serial(&[], &[], &[], space, radius));
+        let skipped = if parallel {
+            grid.rebuild_parallel(xs, ys, zs, space, radius, &mut self.build)
+        } else {
+            grid.rebuild_serial(xs, ys, zs, space, radius, &mut self.build)
+        };
+        (grid, skipped)
+    }
+}
+
+/// Work model of [`CsrScratch::rebuild`]: a skipped rebuild only scans
+/// the voxel ids, a full one also scatters every agent.
+fn csr_build_phase(n: usize, skipped: bool, parallel: bool) -> Phase {
+    Phase {
+        name: "neighborhood build",
+        flops: 0.0,
+        bytes: if skipped {
+            work_model::CSR_BUILD_SKIP_BYTES_PER_AGENT * n as f64
+        } else {
+            work_model::CSR_BUILD_BYTES_PER_AGENT * n as f64
+        },
+        random_accesses: if skipped {
+            0.0
+        } else {
+            work_model::CSR_BUILD_RANDOM_PER_AGENT * n as f64
+        },
+        parallel,
+        fp64: true,
+    }
+}
+
 fn cpu_grid_csr_step(
     rm: &mut ResourceManager,
     params: &SimParams,
@@ -597,15 +650,7 @@ fn cpu_grid_csr_step(
 
     // Phase 1: counting-sort CSR build, reusing the scratch arrays.
     let t0 = Instant::now();
-    let (xs, ys, zs) = rm.position_columns();
-    let grid = scratch
-        .csr
-        .get_or_insert_with(|| CsrGrid::build_serial(&[], &[], &[], space, radius));
-    let build_skipped = if parallel {
-        grid.rebuild_parallel(xs, ys, zs, space, radius, &mut scratch.build)
-    } else {
-        grid.rebuild_serial(xs, ys, zs, space, radius, &mut scratch.build)
-    };
+    let (grid, build_skipped) = scratch.csr.rebuild(rm, space, radius, parallel);
     let wall_build = t0.elapsed().as_secs_f64();
 
     // Phase 2: fused neighbor scan + force computation, streaming the
@@ -614,11 +659,11 @@ fn cpu_grid_csr_step(
     // pass, minus the successor chases and two thirds of the per-voxel
     // head lookups.
     let t1 = Instant::now();
+    let (xs, ys, zs) = rm.position_columns();
     let diam = rm.diameter_column();
     let adh = rm.adherence_column();
     let mech = &params.mech;
     let r2 = radius * radius;
-    let grid = &*grid;
     scratch.disp.clear();
     scratch.disp.resize(n, Vec3::zero());
     let chunk_stats: Vec<(bdm_grid::QueryCounters, u64, u64)> = scratch
@@ -682,22 +727,7 @@ fn cpu_grid_csr_step(
 
     let neighbors = counters.neighbors_found;
     let phases = vec![
-        Phase {
-            name: "neighborhood build",
-            flops: 0.0,
-            bytes: if build_skipped {
-                work_model::CSR_BUILD_SKIP_BYTES_PER_AGENT * n as f64
-            } else {
-                work_model::CSR_BUILD_BYTES_PER_AGENT * n as f64
-            },
-            random_accesses: if build_skipped {
-                0.0
-            } else {
-                work_model::CSR_BUILD_RANDOM_PER_AGENT * n as f64
-            },
-            parallel,
-            fp64: true,
-        },
+        csr_build_phase(n, build_skipped, parallel),
         Phase::parallel_fp64(
             "mechanical forces",
             work_model::CSR_FLOPS_PER_CANDIDATE * counters.points_tested as f64
@@ -725,10 +755,11 @@ fn cpu_grid_csr_step(
 /// Mixed-precision SIMD variant of [`cpu_grid_csr_step`] — the paper's
 /// Improvement I (FP64→FP32) applied to the CPU hot path.
 ///
-/// Same skeleton as the scalar pass: the f64 CSR build (candidate
-/// enumeration is bit-identical to the f64 path — precision must never
-/// change *which* pairs are tested, only the test arithmetic), the same
-/// fixed [`CSR_PASS_CHUNK`] chunking. The differences:
+/// Same skeleton as the scalar pass: the shared f64
+/// [`CsrScratch::rebuild`] build (candidate enumeration is bit-identical to the f64 path —
+/// precision must never change *which* pairs are tested, only the test
+/// arithmetic), the same fixed [`CSR_PASS_CHUNK`] chunking. The
+/// differences:
 ///
 /// * per-candidate state is gathered from the lazily refreshed `f32`
 ///   column mirrors and streamed through the 8-wide lane types of
@@ -763,15 +794,7 @@ fn cpu_grid_csr_step_simd(
 
     // Phase 1: the same f64 CSR build as the scalar pass.
     let t0 = Instant::now();
-    let (xs64, ys64, zs64) = rm.position_columns();
-    let grid = scratch
-        .csr
-        .get_or_insert_with(|| CsrGrid::build_serial(&[], &[], &[], space, radius));
-    let build_skipped = if parallel {
-        grid.rebuild_parallel(xs64, ys64, zs64, space, radius, &mut scratch.build)
-    } else {
-        grid.rebuild_serial(xs64, ys64, zs64, space, radius, &mut scratch.build)
-    };
+    let (grid, build_skipped) = scratch.csr.rebuild(rm, space, radius, parallel);
     let wall_build = t0.elapsed().as_secs_f64();
 
     // Phase 2: bring the f32 mirrors up to date. Lazy on the dirty
@@ -783,6 +806,7 @@ fn cpu_grid_csr_step_simd(
 
     // Phase 3: fused scan + force over the mirrors.
     let t2 = Instant::now();
+    let (xs64, ys64, zs64) = rm.position_columns();
     let posd = scratch.mirrors.posd.as_slice();
     let adh = scratch.mirrors.adh.as_slice();
     let mech = &params.mech;
@@ -794,7 +818,6 @@ fn cpu_grid_csr_step_simd(
     let repv = F32x8::splat(rep32);
     let attv = F32x8::splat(att32);
     let epsv = F32x8::splat(f32::EPSILON);
-    let grid = &*grid;
     // Raw CSR views for the candidate-append fast path: offsets plus the
     // id array as plain `u32`s (zero-copy; `AgentId` is transparent).
     let starts = grid.cell_starts();
@@ -1039,22 +1062,7 @@ fn cpu_grid_csr_step_simd(
 
     let neighbors = counters.neighbors_found;
     let phases = vec![
-        Phase {
-            name: "neighborhood build",
-            flops: 0.0,
-            bytes: if build_skipped {
-                work_model::CSR_BUILD_SKIP_BYTES_PER_AGENT * n as f64
-            } else {
-                work_model::CSR_BUILD_BYTES_PER_AGENT * n as f64
-            },
-            random_accesses: if build_skipped {
-                0.0
-            } else {
-                work_model::CSR_BUILD_RANDOM_PER_AGENT * n as f64
-            },
-            parallel,
-            fp64: true,
-        },
+        csr_build_phase(n, build_skipped, parallel),
         Phase {
             name: "f32 mirror refresh",
             flops: refresh_copies as f64,
@@ -1466,8 +1474,7 @@ mod tests {
             .expect("CSR path reports a gap");
         let radius = interaction_radius(&rm, &params);
         let (xs, ys, zs) = rm.position_columns();
-        let cells =
-            bdm_morton::cell_keys(xs, ys, zs, &params.space, radius, bdm_morton::Curve::ZOrder);
+        let cells = bdm_morton::cell_keys(xs, ys, zs, &params.space, radius);
         let keys: Vec<(u64, u64)> = cells.into_iter().zip(rm.uid_column().to_vec()).collect();
         let perm = Permutation::sorting_by_key(&keys);
         rm.apply_permutation(&perm, &mut ReorderScratch::default());

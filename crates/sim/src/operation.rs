@@ -93,20 +93,20 @@ pub fn wall_record(name: &str, wall_s: f64) -> OpRecord {
 // Host reorder (the paper's Improvement II, applied to resident state)
 // ---------------------------------------------------------------------
 
-/// Sorts the resident SoA columns along a space-filling curve so that
+/// Sorts the resident SoA columns along the Z-order curve so that
 /// spatial neighbors are also memory neighbors — the paper's Improvement
 /// II (§IV-D/§V), applied to the *CPU-resident* state instead of only at
 /// GPU upload. Downstream beneficiaries: the CSR counting-sort build
 /// scatters near-sequentially, the fused force pass gathers neighbor
 /// positions with near-unit stride, and the GPU pipeline detects that
-/// host order already matches its curve and skips its per-step
+/// host order already matches its sort order and skips its per-step
 /// permutation.
 ///
 /// Scheduled with frequency `params.reorder.every` (drift policy: agents
 /// move slowly relative to the voxel size, so sortedness decays over
 /// many steps and the sort amortizes). Disabled when `every == 0`.
 ///
-/// Determinism: agents sort by the pair `(curve key of their grid voxel,
+/// Determinism: agents sort by the pair `(Z-order key of their grid voxel,
 /// uid)` — a strict total order over the population, so the resulting
 /// layout is a pure function of per-agent state, independent of the
 /// storage order the op happened to find. Combined with the uid-keyed
@@ -132,14 +132,7 @@ impl Operation for ReorderOp {
             // the same dims clamp, so "same key" == "same grid voxel".
             let radius = mech::interaction_radius(ctx.rm, ctx.params);
             let (xs, ys, zs) = ctx.rm.position_columns();
-            let cells = bdm_morton::cell_keys(
-                xs,
-                ys,
-                zs,
-                &ctx.params.space,
-                radius,
-                ctx.params.reorder.curve,
-            );
+            let cells = bdm_morton::cell_keys(xs, ys, zs, &ctx.params.space, radius);
             self.keys.clear();
             self.keys
                 .extend(cells.into_iter().zip(ctx.rm.uid_column().iter().copied()));

@@ -2,15 +2,11 @@
 
 use bdm_math::interaction::MechParams;
 use bdm_math::{Aabb, Vec3};
-use bdm_morton::Curve;
 
-/// Host-side space-filling-curve reorder policy (the paper's Improvement
-/// II applied to the resident SoA columns, not just the GPU upload).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Host-side Z-order reorder policy (the paper's Improvement II applied
+/// to the resident SoA columns, not just the GPU upload).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReorderParams {
-    /// Which curve orders the agents (Z-order is the paper's choice;
-    /// Hilbert is the no-long-jumps ablation alternative).
-    pub curve: Curve,
     /// Re-sort every `every` steps; `0` disables the reorder operation
     /// entirely (insertion order — the pre-reorder behavior). Because
     /// agents drift slowly relative to the voxel size, sortedness decays
@@ -18,33 +14,33 @@ pub struct ReorderParams {
     pub every: u64,
 }
 
-impl Default for ReorderParams {
-    fn default() -> Self {
-        Self {
-            curve: Curve::ZOrder,
-            every: 0,
-        }
-    }
-}
-
-/// Arithmetic precision of the CPU mechanical force pass (the paper's
-/// Improvement I brought to the host).
+/// Arithmetic precision of the host hot paths — the CPU mechanical force
+/// pass and the diffusion stencil (the paper's Improvement I brought to
+/// the host).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Precision {
     /// Scalar `f64` throughout — BioDynaMo's storage default and the
     /// bitwise-reproducibility reference. The default.
     #[default]
     F64,
-    /// Mixed precision: the fused CSR search+force pass reads `f32`
-    /// mirrors of the hot columns through 8-wide SIMD lanes, while
-    /// per-agent force accumulation and displacement integration stay
-    /// `f64`. Deterministic (serial ≡ parallel, run ≡ rerun, bitwise) but
-    /// *different* from [`Precision::F64`] within a documented ±1e-5
-    /// per-step envelope; storage order (reorder on/off) changes lane
-    /// packing and therefore rounding, so trajectories are a function of
-    /// storage order too. Only the CSR uniform-grid environment has a
-    /// vectorized pass; every other environment ignores the knob and
-    /// runs `f64` (see `bdm_sim::mech`).
+    /// Mixed precision, in two places:
+    ///
+    /// - Mechanics: the fused CSR search+force pass reads `f32` mirrors
+    ///   of the hot columns through 8-wide SIMD lanes, while per-agent
+    ///   force accumulation and displacement integration stay `f64`,
+    ///   within a documented ±1e-5 per-step envelope of
+    ///   [`Precision::F64`]. Storage order (reorder on/off) changes lane
+    ///   packing and therefore rounding, so trajectories are a function
+    ///   of storage order too. Only the CSR uniform-grid environment has a
+    ///   vectorized pass; every other environment's force pass ignores
+    ///   the knob and runs `f64` (see `bdm_sim::mech`).
+    /// - Diffusion, in every environment: each substance is staged into
+    ///   `f32`, sub-stepped by the `f32` stencil and widened back
+    ///   (`DiffusionGrid::step_in`), at ~1e-7 relative truncation per
+    ///   sub-step.
+    ///
+    /// Deterministic (serial ≡ parallel, run ≡ rerun, bitwise) but
+    /// *different* from [`Precision::F64`].
     F32Simd,
 }
 
@@ -75,7 +71,8 @@ pub struct SimParams {
     pub interaction_radius: Option<f64>,
     /// Host-side agent reorder policy (off by default).
     pub reorder: ReorderParams,
-    /// Arithmetic precision of the CPU force pass (`F64` default).
+    /// Arithmetic precision of the CPU force pass and the diffusion
+    /// stencil (`F64` default).
     pub precision: Precision,
     /// Keep agent state resident on the GPU across steps (off by
     /// default). With the GPU environment, steady-state steps then move
@@ -120,7 +117,7 @@ impl SimParams {
     }
 
     /// Builder-style reorder frequency: re-sort the agent columns along
-    /// `reorder.curve` every `every` steps.
+    /// the Z-order curve every `every` steps.
     ///
     /// Panics on `every == 0`: a zero frequency would register a reorder
     /// op that never fires. Reorder is off by default — to leave it off,
@@ -135,13 +132,8 @@ impl SimParams {
         self
     }
 
-    /// Builder-style reorder-curve override.
-    pub fn with_reorder_curve(mut self, curve: Curve) -> Self {
-        self.reorder.curve = curve;
-        self
-    }
-
-    /// Builder-style precision override for the CPU force pass.
+    /// Builder-style precision override for the CPU force pass and the
+    /// diffusion stencil.
     pub fn with_precision(mut self, precision: Precision) -> Self {
         self.precision = precision;
         self
@@ -213,19 +205,16 @@ mod tests {
         let p = SimParams::cube(1.0)
             .with_seed(99)
             .with_interaction_radius(2.5)
-            .with_reorder(50)
-            .with_reorder_curve(Curve::Hilbert);
+            .with_reorder(50);
         assert_eq!(p.seed, 99);
         assert_eq!(p.interaction_radius, Some(2.5));
         assert_eq!(p.reorder.every, 50);
-        assert_eq!(p.reorder.curve, Curve::Hilbert);
     }
 
     #[test]
     fn reorder_defaults_off() {
         let p = SimParams::default();
         assert_eq!(p.reorder.every, 0, "reorder is opt-in");
-        assert_eq!(p.reorder.curve, Curve::ZOrder);
     }
 
     #[test]

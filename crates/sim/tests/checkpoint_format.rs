@@ -530,6 +530,46 @@ fn malformed_legacy_shard_bounds_are_corrupt() {
     }
 }
 
+/// Offset of the reorder-curve byte in the v3 fixture: PARAMS payload +
+/// 97, per the layout in [`legacy_shard_count_offset`].
+fn curve_byte_offset(bytes: &[u8]) -> usize {
+    let (_, payload, _) = locate(bytes, 2);
+    payload + 48 + 32 + 8 + 1 + 8
+}
+
+/// The committed v3 fixture with its reorder-curve byte set to `curve`.
+fn fixture_with_curve_byte(curve: u8) -> Vec<u8> {
+    let mut bytes = std::fs::read(FIXTURE).expect("committed v3 fixture present");
+    let off = curve_byte_offset(&bytes);
+    assert_eq!(bytes[off], 0, "the fixture reorders along Z-order");
+    bytes[off] = curve;
+    bytes
+}
+
+/// Reorder-curve byte 1 is what builds with a Hilbert reorder wrote. This
+/// build removed that curve, so the stream is rejected with a message
+/// naming it.
+#[test]
+fn hilbert_curve_byte_is_invalid_params() {
+    match restore_err(&fixture_with_curve_byte(1)) {
+        Err(CheckpointError::InvalidParams(msg)) => {
+            assert!(msg.contains("Hilbert"), "unexpected message: {msg}");
+        }
+        other => panic!("expected InvalidParams, got {other:?}"),
+    }
+}
+
+/// No build ever wrote a curve byte above 1.
+#[test]
+fn unknown_curve_byte_is_corrupt() {
+    match restore_err(&fixture_with_curve_byte(2)) {
+        Err(CheckpointError::Corrupt(msg)) => {
+            assert!(msg.contains("curve 2"), "unexpected message: {msg}");
+        }
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+}
+
 /// Version 3 never writes SHARDS, so a v3 stream carrying one is corrupt.
 #[test]
 fn shards_section_in_a_v3_stream_is_corrupt() {

@@ -66,7 +66,6 @@ pub mod prelude {
     pub use bdm_gpu::pipeline::KernelVersion;
     pub use bdm_math::interaction::MechParams;
     pub use bdm_math::{Aabb, Scalar, Vec3};
-    pub use bdm_morton::Curve;
     pub use bdm_sim::behavior::Behavior;
     pub use bdm_sim::cell::CellBuilder;
     pub use bdm_sim::diffusion::{BoundaryCondition, DiffusionParams};
